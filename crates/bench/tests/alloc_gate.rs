@@ -46,6 +46,15 @@ fn settled_engines_do_not_allocate_per_access() {
     let uni = UniLru::multi_client(vec![400], vec![400, 400], UniLruVariant::MruInsert);
     assert_eq!(steady_allocs(uni, &trace), 0, "uniLRU steady state allocated");
 
+    // Eight disjoint clients, each with its own dense level table.
+    let db2 = synthetic::db2_multi(40_000, 16_000);
+    let uni = UniLru::multi_client(vec![256; 8], vec![2048], UniLruVariant::MruInsert);
+    assert_eq!(
+        steady_allocs(uni, &db2),
+        0,
+        "multi-client uniLRU steady state allocated"
+    );
+
     let evict = EvictionBased::new(vec![400], 800, 7);
     assert_eq!(
         steady_allocs(evict, &trace),
@@ -123,6 +132,18 @@ fn settled_engines_do_not_allocate_per_access_while_recording() {
         UniLruVariant::MruInsert,
     ));
     assert_eq!(steady_allocs(uni, &trace), 0, "uniLRU allocated while recording");
+
+    let db2 = synthetic::db2_multi(40_000, 16_000);
+    let uni = with_recorder(UniLru::multi_client(
+        vec![256; 8],
+        vec![2048],
+        UniLruVariant::MruInsert,
+    ));
+    assert_eq!(
+        steady_allocs(uni, &db2),
+        0,
+        "multi-client uniLRU allocated while recording"
+    );
 
     let evict = with_recorder(EvictionBased::new(vec![400], 800, 7));
     assert_eq!(

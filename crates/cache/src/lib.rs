@@ -6,7 +6,8 @@
 //! * [`LinkedSlab`] — a slab-backed doubly-linked list with stable,
 //!   generation-checked handles; the backbone of every stack in the
 //!   workspace (including ULC's `uniLRUstack` with its yardstick pointers);
-//! * [`LruStack`] / [`LruCache`] — keyed recency stacks and bounded LRU;
+//! * [`LruStack`] / [`LruCache`] — keyed recency stacks and bounded LRU,
+//!   generic over the [`NodeLocator`] table that finds a key's node;
 //! * [`MultiQueue`] — the MQ second-level replacement algorithm
 //!   (Zhou, Philbin & Li 2001), a Figure 7 baseline;
 //! * [`Lirs`] — the LIRS policy (Jiang & Zhang 2002), the single-level
@@ -49,7 +50,7 @@ pub use distance::{lru_stack_distances, lru_stack_distances_indexed, next_locali
 pub use indexed_list::{Fenwick, KeyedList, LazyMinTree, RecencyList};
 pub use lirs::Lirs;
 pub use list::{Iter, LinkedSlab, NodeHandle};
-pub use lru::{CacheEvent, LruCache, LruStack};
+pub use lru::{CacheEvent, LruCache, LruStack, NodeLocator};
 pub use mq::{MqConfig, MultiQueue};
 pub use opt::{next_use_times, OptCache, NEVER};
 pub use random_cache::RandomCache;

@@ -4,11 +4,58 @@ use crate::{LinkedSlab, NodeHandle};
 use fxhash::FxHashMap;
 use std::hash::Hash;
 
+/// The table an [`LruStack`] uses to find a key's list node.
+///
+/// The recency *order* lives in the stack's [`LinkedSlab`]; the locator
+/// only maps keys to node handles, so its representation is
+/// behaviour-neutral and every locator yields identical stacks. The
+/// default is an [`FxHashMap`], which serves any hashable key;
+/// `ulc_trace` implements the trait for its `BlockMap<NodeHandle>`
+/// dense block table, whose direct-indexed tier replaces the hash with
+/// a vector index for block ids.
+pub trait NodeLocator<K> {
+    /// The node holding `key`, if present.
+    fn locate(&self, key: &K) -> Option<NodeHandle>;
+
+    /// Records that `key` (not yet present) lives at `node`.
+    fn record(&mut self, key: K, node: NodeHandle);
+
+    /// Forgets `key`, returning its node if it was present.
+    fn forget(&mut self, key: &K) -> Option<NodeHandle>;
+
+    /// Hints the CPU to pull `key`'s table row toward its cache.
+    /// Semantics-free; the default does nothing.
+    #[inline]
+    fn prefetch_key(&self, key: &K) {
+        let _ = key;
+    }
+}
+
+impl<K: Eq + Hash> NodeLocator<K> for FxHashMap<K, NodeHandle> {
+    #[inline]
+    fn locate(&self, key: &K) -> Option<NodeHandle> {
+        self.get(key).copied()
+    }
+
+    #[inline]
+    fn record(&mut self, key: K, node: NodeHandle) {
+        self.insert(key, node);
+    }
+
+    #[inline]
+    fn forget(&mut self, key: &K) -> Option<NodeHandle> {
+        self.remove(key)
+    }
+}
+
 /// An unbounded LRU stack over keys: a recency ordering with O(1) touch,
 /// removal and bottom access.
 ///
 /// This is the bare recency structure; [`LruCache`] adds a capacity bound
-/// and eviction. ULC's `gLRU` and ghost stacks build on it directly.
+/// and eviction. ULC's ghost stacks build on it directly. `M` is the
+/// [`NodeLocator`] that finds a key's node: an [`FxHashMap`] by default
+/// ([`LruStack::new`]), or any other locator through
+/// [`LruStack::with_locator`].
 ///
 /// # Examples
 ///
@@ -23,56 +70,59 @@ use std::hash::Hash;
 /// assert_eq!(s.top(), Some(&1));
 /// ```
 #[derive(Clone, Debug, Default)]
-pub struct LruStack<K: Eq + Hash + Clone> {
+pub struct LruStack<K, M = FxHashMap<K, NodeHandle>> {
     list: LinkedSlab<K>,
-    // The recency *order* lives in the list; this map only locates nodes,
-    // so the fast deterministic Fx hasher is behaviour-neutral here.
-    map: FxHashMap<K, NodeHandle>,
+    map: M,
 }
 
 impl<K: Eq + Hash + Clone> LruStack<K> {
-    /// Creates an empty stack.
+    /// Creates an empty stack located through an [`FxHashMap`].
     pub fn new() -> Self {
+        LruStack::with_locator(FxHashMap::default())
+    }
+}
+
+impl<K: Clone, M: NodeLocator<K>> LruStack<K, M> {
+    /// Creates an empty stack over an empty `locator`.
+    pub fn with_locator(locator: M) -> Self {
         LruStack {
             list: LinkedSlab::new(),
-            map: FxHashMap::default(),
+            map: locator,
         }
-    }
-
-    /// Pre-sizes the stack for `capacity` keys: slab slots, the free
-    /// list and the locator map are all grown up front so a steady-state
-    /// run whose occupancy high-water is reached late never reallocates
-    /// mid-measurement (DESIGN.md §5f).
-    pub fn reserve(&mut self, capacity: usize) {
-        self.list.reserve(capacity);
-        self.map.reserve(capacity.saturating_sub(self.map.len()));
     }
 
     /// Number of keys in the stack.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.list.len()
     }
 
     /// Returns `true` if the stack is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.list.is_empty()
     }
 
     /// Returns `true` if `key` is present.
     pub fn contains(&self, key: &K) -> bool {
-        self.map.contains_key(key)
+        self.map.locate(key).is_some()
+    }
+
+    /// Hints the CPU to pull `key`'s locator row toward its cache; see
+    /// [`NodeLocator::prefetch_key`]. Semantics-free.
+    #[inline]
+    pub fn prefetch(&self, key: &K) {
+        self.map.prefetch_key(key);
     }
 
     /// Inserts `key` at the top, or moves it there if already present.
     /// Returns `true` if the key was already present.
     pub fn touch(&mut self, key: K) -> bool {
-        if let Some(&h) = self.map.get(&key) {
+        if let Some(h) = self.map.locate(&key) {
             self.list.move_to_front(h);
             true
         } else {
             // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
             let h = self.list.push_front(key.clone());
-            self.map.insert(key, h);
+            self.map.record(key, h);
             false
         }
     }
@@ -80,20 +130,20 @@ impl<K: Eq + Hash + Clone> LruStack<K> {
     /// Inserts `key` at the bottom, or moves it there if already present.
     /// Returns `true` if the key was already present.
     pub fn touch_bottom(&mut self, key: K) -> bool {
-        if let Some(&h) = self.map.get(&key) {
+        if let Some(h) = self.map.locate(&key) {
             self.list.move_to_back(h);
             true
         } else {
             // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
             let h = self.list.push_back(key.clone());
-            self.map.insert(key, h);
+            self.map.record(key, h);
             false
         }
     }
 
     /// Removes `key`, returning `true` if it was present.
     pub fn remove(&mut self, key: &K) -> bool {
-        match self.map.remove(key) {
+        match self.map.forget(key) {
             Some(h) => {
                 self.list.remove(h);
                 true
@@ -116,7 +166,7 @@ impl<K: Eq + Hash + Clone> LruStack<K> {
     pub fn pop_bottom(&mut self) -> Option<K> {
         let h = self.list.back()?;
         let key = self.list.remove(h).expect("back handle is fresh");
-        self.map.remove(&key);
+        self.map.forget(&key);
         Some(key)
     }
 
@@ -146,7 +196,8 @@ impl<K> CacheEvent<K> {
     }
 }
 
-/// A capacity-bounded LRU cache over keys.
+/// A capacity-bounded LRU cache over keys, located through `M` as an
+/// [`LruStack`] is.
 ///
 /// # Examples
 ///
@@ -161,21 +212,34 @@ impl<K> CacheEvent<K> {
 /// assert_eq!(c.access(3), CacheEvent::Miss { evicted: Some(2) });
 /// ```
 #[derive(Clone, Debug)]
-pub struct LruCache<K: Eq + Hash + Clone> {
-    stack: LruStack<K>,
+pub struct LruCache<K, M = FxHashMap<K, NodeHandle>> {
+    stack: LruStack<K, M>,
     capacity: usize,
 }
 
 impl<K: Eq + Hash + Clone> LruCache<K> {
-    /// Creates a cache holding at most `capacity` keys.
+    /// Creates a cache holding at most `capacity` keys, located through
+    /// an [`FxHashMap`].
     ///
     /// # Panics
     ///
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
+        LruCache::with_locator(capacity, FxHashMap::default())
+    }
+}
+
+impl<K: Clone, M: NodeLocator<K>> LruCache<K, M> {
+    /// Creates a cache holding at most `capacity` keys, located through
+    /// the empty `locator`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `capacity` is zero.
+    pub fn with_locator(capacity: usize, locator: M) -> Self {
         assert!(capacity > 0, "cache capacity must be positive");
         LruCache {
-            stack: LruStack::new(),
+            stack: LruStack::with_locator(locator),
             capacity,
         }
     }
@@ -203,6 +267,13 @@ impl<K: Eq + Hash + Clone> LruCache<K> {
     /// Returns `true` if `key` is cached.
     pub fn contains(&self, key: &K) -> bool {
         self.stack.contains(key)
+    }
+
+    /// Hints the CPU to pull `key`'s locator row toward its cache; see
+    /// [`NodeLocator::prefetch_key`]. Semantics-free.
+    #[inline]
+    pub fn prefetch(&self, key: &K) {
+        self.stack.prefetch(key);
     }
 
     /// References `key`: moves it to the MRU position on a hit, inserts it

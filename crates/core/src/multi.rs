@@ -42,51 +42,64 @@
 
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
-use ulc_cache::LruStack;
+use ulc_cache::{LinkedSlab, NodeHandle};
 use ulc_hierarchy::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
 use ulc_hierarchy::{AccessOutcome, FaultSummary, MultiLevelPolicy};
 use ulc_obs::{Observe, ObsHandle};
 use ulc_trace::{BlockId, BlockMap, ClientId, TableMode};
 
-/// The server's global LRU stack with per-block owners.
+/// A block's row in the server's `gLRU`: its node in the request-time
+/// order and its owner, found together by one block-table lookup.
+#[derive(Clone, Copy, Debug)]
+struct ServerSlot {
+    node: NodeHandle,
+    owner: u32,
+}
+
+/// The server's global LRU stack (`gLRU`), ordered by cache-request time,
+/// with each block's owner stored in the block's own slot.
 #[derive(Clone, Debug)]
 struct GlobalLru {
-    stack: LruStack<BlockId>,
-    owner: BlockMap<u32>,
+    order: LinkedSlab<BlockId>,
+    slots: BlockMap<ServerSlot>,
     capacity: usize,
 }
 
 impl GlobalLru {
     fn new(capacity: usize, mode: TableMode) -> Self {
         assert!(capacity > 0, "server capacity must be positive");
-        let mut stack = LruStack::new();
-        // Occupancy is bounded by `capacity + 1` (cache_request touches
+        let mut order = LinkedSlab::new();
+        // Occupancy is bounded by `capacity + 1` (cache_request inserts
         // before it pops), so the node slots settle during warm-up — but
         // the slab's free list tracks the *deepest occupancy dip*, which a
         // late burst of promotions to client caches can deepen at any
         // point in a run, doubling the free vector inside the measured
         // steady phase (the §5f gate forbids exactly that). Reserving the
         // full capacity up front caps the whole run.
-        stack.reserve(capacity + 1);
-        let mut owner = BlockMap::new(mode);
-        owner.reserve(capacity + 1);
+        order.reserve(capacity + 1);
+        let mut slots = BlockMap::new(mode);
+        slots.reserve(capacity + 1);
         GlobalLru {
-            stack,
-            owner,
+            order,
+            slots,
             capacity,
         }
     }
 
+    fn len(&self) -> usize {
+        self.order.len()
+    }
+
     fn contains(&self, block: BlockId) -> bool {
-        self.stack.contains(&block)
+        self.slots.contains_key(block)
     }
 
     fn is_full(&self) -> bool {
-        self.stack.len() >= self.capacity
+        self.len() >= self.capacity
     }
 
     fn owner_of(&self, block: BlockId) -> Option<u32> {
-        self.owner.get(block).copied()
+        self.slots.get(block).map(|slot| slot.owner)
     }
 
     /// A client requests `block` be cached here; the block moves to the
@@ -98,35 +111,49 @@ impl GlobalLru {
     /// or its view of the server inflates with blocks whose replacement it
     /// will never hear about.
     fn cache_request(&mut self, block: BlockId, requester: u32) -> CacheRequestEffect {
-        self.stack.touch(block);
-        let transferred_from = self
-            .owner
-            .insert(block, requester)
-            .filter(|&o| o != requester);
-        let replaced = if self.stack.len() > self.capacity {
-            let victim = self.stack.pop_bottom().expect("over-full stack");
-            let owner = self.owner.remove(victim).expect("owned victim");
+        let previous = match self.slots.get_mut(block) {
+            Some(slot) => {
+                self.order.move_to_front(slot.node);
+                Some(std::mem::replace(&mut slot.owner, requester))
+            }
+            None => {
+                let node = self.order.push_front(block);
+                self.slots.insert(
+                    block,
+                    ServerSlot {
+                        node,
+                        owner: requester,
+                    },
+                );
+                None
+            }
+        };
+        let replaced = if self.len() > self.capacity {
+            let bottom = self.order.back().expect("over-full gLRU");
+            let victim = self.order.remove(bottom).expect("back handle is fresh");
+            let owner = self.slots.remove(victim).expect("slotted victim").owner;
             Some((victim, owner))
         } else {
             None
         };
         CacheRequestEffect {
             replaced,
-            transferred_from,
+            transferred_from: previous.filter(|&o| o != requester),
         }
     }
 
     /// Drops `block` (its owner is promoting it to the client cache).
     fn remove(&mut self, block: BlockId) {
-        self.stack.remove(&block);
-        self.owner.remove(block);
+        if let Some(slot) = self.slots.remove(block) {
+            self.order.remove(slot.node);
+        }
     }
 
     /// Refreshes `block`'s gLRU position without changing its owner
     /// (a non-owner is using the shared copy).
     fn refresh(&mut self, block: BlockId) {
-        if self.owner.contains_key(block) {
-            self.stack.touch(block);
+        if let Some(slot) = self.slots.get(block) {
+            self.order.move_to_front(slot.node);
         }
     }
 }
@@ -344,15 +371,15 @@ impl<P: MessagePlane> UlcMulti<P> {
 
     /// Blocks currently cached in the server.
     pub fn server_len(&self) -> usize {
-        self.server.stack.len()
+        self.server.len()
     }
 
     /// How many server blocks each client currently owns — the dynamic
     /// allocation of Figure 5.
     pub fn server_allocation(&self) -> Vec<usize> {
         let mut alloc = vec![0usize; self.clients.len()];
-        for (_, &o) in self.server.owner.iter() {
-            alloc[o as usize] += 1;
+        for (_, slot) in self.server.slots.iter() {
+            alloc[slot.owner as usize] += 1;
         }
         alloc
     }
@@ -409,10 +436,15 @@ impl<P: MessagePlane> UlcMulti<P> {
         for c in self.clients.iter() {
             c.stack.check_invariants();
         }
-        assert!(self.server.stack.len() <= self.server.capacity);
-        assert_eq!(self.server.stack.len(), self.server.owner.len());
-        for b in self.server.stack.iter() {
-            let o = self.server.owner_of(*b);
+        assert!(self.server.len() <= self.server.capacity);
+        assert_eq!(self.server.len(), self.server.slots.len());
+        for (node, &b) in self.server.order.iter() {
+            let slot = self.server.slots.get(b);
+            assert!(
+                slot.is_some_and(|s| s.node == node),
+                "server block {b:?} has no slot pointing at its gLRU node"
+            );
+            let o = self.server.owner_of(b);
             assert!(
                 o.is_some_and(|o| (o as usize) < self.clients.len()),
                 "server block {b:?} has an invalid owner ({o:?})"
@@ -425,7 +457,7 @@ impl<P: MessagePlane> UlcMulti<P> {
     #[cfg(feature = "debug_invariants")]
     fn debug_validate(&mut self) {
         self.tick += 1;
-        if self.server.stack.len() < 64 || self.tick.is_multiple_of(256) {
+        if self.server.len() < 64 || self.tick.is_multiple_of(256) {
             if self.plane.lossy() {
                 self.check_recoverable_invariants();
             } else {
@@ -801,11 +833,11 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
     fn prefetch(&self, client: ClientId, block: BlockId) {
         // Semantics-free: pulls the two table rows the upcoming access
         // will probe — the client stack's status row and the server's
-        // owner row — toward the CPU cache (DESIGN.md §5i).
+        // gLRU slot — toward the CPU cache (DESIGN.md §5i).
         if let Some(cs) = self.clients.get(client.as_usize()) {
             cs.stack.prefetch(block);
         }
-        self.server.owner.prefetch(block);
+        self.server.slots.prefetch(block);
     }
 
     fn num_levels(&self) -> usize {

@@ -32,9 +32,15 @@
 use crate::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
 use crate::stats::FaultSummary;
 use crate::{AccessOutcome, MultiLevelPolicy};
-use ulc_cache::LruCache;
+use ulc_cache::{LruCache, NodeHandle};
 use ulc_obs::{Observe, ObsHandle};
 use ulc_trace::{BlockId, BlockMap, ClientId, TableMode};
+
+/// One cache level: an LRU whose nodes are found through a block table
+/// in the engine's [`TableMode`] (DESIGN.md §5e).
+fn new_level(capacity: usize, mode: TableMode) -> LruCache<BlockId, BlockMap<NodeHandle>> {
+    LruCache::with_locator(capacity, BlockMap::new(mode))
+}
 
 /// Server insertion policy for demoted blocks.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -65,9 +71,12 @@ struct AdaptiveState {
 /// retrieval traffic crosses (default: the perfect [`ReliablePlane`]).
 #[derive(Clone, Debug)]
 pub struct UniLru<P: MessagePlane = ReliablePlane> {
-    clients: Vec<LruCache<BlockId>>,
-    shared: Vec<LruCache<BlockId>>,
+    clients: Vec<LruCache<BlockId, BlockMap<NodeHandle>>>,
+    shared: Vec<LruCache<BlockId, BlockMap<NodeHandle>>>,
     variant: UniLruVariant,
+    /// Block-table representation of every level and of `demoted_by`;
+    /// a crashed level restarts cold in the same mode.
+    table_mode: TableMode,
     /// Which client last demoted each block resident in `shared[0]`
     /// (adaptive bookkeeping).
     demoted_by: BlockMap<u32>,
@@ -142,9 +151,16 @@ impl UniLru {
         );
         let n = client_capacities.len();
         UniLru {
-            clients: client_capacities.into_iter().map(LruCache::new).collect(),
-            shared: shared_capacities.into_iter().map(LruCache::new).collect(),
+            clients: client_capacities
+                .into_iter()
+                .map(|c| new_level(c, mode))
+                .collect(),
+            shared: shared_capacities
+                .into_iter()
+                .map(|c| new_level(c, mode))
+                .collect(),
             variant,
+            table_mode: mode,
             demoted_by: BlockMap::new(mode),
             adaptive: vec![
                 AdaptiveState {
@@ -173,6 +189,7 @@ impl<P: MessagePlane> UniLru<P> {
             clients: self.clients,
             shared: self.shared,
             variant: self.variant,
+            table_mode: self.table_mode,
             demoted_by: self.demoted_by,
             adaptive: self.adaptive,
             epoch_len: self.epoch_len,
@@ -389,12 +406,12 @@ impl<P: MessagePlane> UniLru<P> {
         for &level in &crashes {
             if level == 0 {
                 for cl in &mut self.clients {
-                    *cl = LruCache::new(cl.capacity());
+                    *cl = new_level(cl.capacity(), self.table_mode);
                 }
                 // In-flight demotes already left the clients; they survive.
             } else if level - 1 < self.shared.len() {
                 let s = level - 1;
-                self.shared[s] = LruCache::new(self.shared[s].capacity());
+                self.shared[s] = new_level(self.shared[s].capacity(), self.table_mode);
                 if s == 0 {
                     self.demoted_by.clear();
                 }
@@ -520,8 +537,7 @@ impl<P: MessagePlane> MultiLevelPolicy for UniLru<P> {
                     continue;
                 }
                 fate => {
-                    if self.shared[i].contains(&block) {
-                        self.shared[i].remove(&block);
+                    if self.shared[i].remove(&block) {
                         if i == 0 {
                             if let Some(owner) = self.demoted_by.remove(block) {
                                 if self.variant == UniLruVariant::Adaptive {
@@ -568,6 +584,19 @@ impl<P: MessagePlane> MultiLevelPolicy for UniLru<P> {
         }
         #[cfg(feature = "debug_invariants")]
         self.debug_validate();
+    }
+
+    #[inline]
+    fn prefetch(&self, client: ClientId, block: BlockId) {
+        // Semantics-free: pulls the rows the upcoming access probes — the
+        // requesting client's level and every shared level it may search
+        // — toward the CPU cache (DESIGN.md §5i).
+        if let Some(cl) = self.clients.get(client.as_usize()) {
+            cl.prefetch(&block);
+        }
+        for s in &self.shared {
+            s.prefetch(&block);
+        }
     }
 
     fn num_levels(&self) -> usize {

@@ -38,6 +38,7 @@
 
 use crate::{BlockId, Trace};
 use fxhash::FxHashMap;
+use ulc_cache::{NodeHandle, NodeLocator};
 
 /// A sentinel meaning "no next use" in the OPT forward scan; matches
 /// `ulc_cache::opt::NEVER`.
@@ -393,6 +394,31 @@ impl<V> BlockMap<V> {
             },
             Repr::Hashed(m) => Iter::Hashed(m.iter()),
         }
+    }
+}
+
+/// A [`BlockMap`] of node handles locates the nodes of an
+/// `ulc_cache::LruStack`/`LruCache` over blocks: the cache levels then
+/// find a block by direct index instead of by hash (DESIGN.md §5e).
+impl NodeLocator<BlockId> for BlockMap<NodeHandle> {
+    #[inline]
+    fn locate(&self, key: &BlockId) -> Option<NodeHandle> {
+        self.get(*key).copied()
+    }
+
+    #[inline]
+    fn record(&mut self, key: BlockId, node: NodeHandle) {
+        self.insert(key, node);
+    }
+
+    #[inline]
+    fn forget(&mut self, key: &BlockId) -> Option<NodeHandle> {
+        self.remove(*key)
+    }
+
+    #[inline]
+    fn prefetch_key(&self, key: &BlockId) {
+        self.prefetch(*key);
     }
 }
 

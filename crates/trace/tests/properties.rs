@@ -1,13 +1,128 @@
-//! Property-based tests for the workload generators and the block
-//! interner.
+//! Property-based tests for the workload generators, the block
+//! interner and the block tables, including `BlockMap` as the node
+//! locator of `ulc_cache`'s LRUs.
 
 use proptest::prelude::*;
+use ulc_cache::{CacheEvent, LruCache, LruStack, NodeHandle, NodeLocator};
 use ulc_trace::multi::interleave;
 use ulc_trace::patterns::{
     FileSetPattern, LoopingPattern, Pattern, SequentialPattern, TemporalPattern, UniformPattern,
     WorkingSetDriftPattern, ZipfPattern,
 };
-use ulc_trace::{BlockId, BlockInterner, BlockMap, TableMode, Trace, TraceStats, Zipf};
+use ulc_trace::{
+    BlockId, BlockInterner, BlockMap, TableMode, Trace, TraceStats, Zipf, DIRECT_LIMIT,
+};
+
+/// What one LRU operation returned.
+#[derive(Debug, PartialEq)]
+enum Ret {
+    Present(bool),
+    Key(Option<BlockId>),
+    Event(CacheEvent<BlockId>),
+}
+
+/// An unbounded LRU stack and a bounded LRU cache over one locator type.
+struct Lrus<M> {
+    stack: LruStack<BlockId, M>,
+    cache: LruCache<BlockId, M>,
+}
+
+impl<M: NodeLocator<BlockId>> Lrus<M> {
+    fn new(capacity: usize, locator: impl Fn() -> M) -> Self {
+        Lrus {
+            stack: LruStack::with_locator(locator()),
+            cache: LruCache::with_locator(capacity, locator()),
+        }
+    }
+
+    /// Ops 0–3 act on the stack, 4–7 on the cache.
+    fn apply(&mut self, op: u8, b: BlockId) -> Ret {
+        match op {
+            0 => Ret::Present(self.stack.touch(b)),
+            1 => Ret::Present(self.stack.touch_bottom(b)),
+            2 => Ret::Present(self.stack.remove(&b)),
+            3 => Ret::Key(self.stack.pop_bottom()),
+            4 => Ret::Event(self.cache.access(b)),
+            5 => Ret::Key(self.cache.insert_mru(b)),
+            6 => Ret::Key(self.cache.insert_lru(b)),
+            _ => Ret::Present(self.cache.remove(&b)),
+        }
+    }
+
+    /// Lengths and MRU→LRU orders of both structures.
+    fn state(&self) -> (usize, Vec<BlockId>, usize, Vec<BlockId>) {
+        (
+            self.stack.len(),
+            self.stack.iter().copied().collect(),
+            self.cache.len(),
+            self.cache.iter().copied().collect(),
+        )
+    }
+}
+
+/// The same operations on plain MRU-first vectors.
+struct LruModel {
+    stack: Vec<BlockId>,
+    cache: Vec<BlockId>,
+    capacity: usize,
+}
+
+impl LruModel {
+    fn take(order: &mut Vec<BlockId>, b: BlockId) -> bool {
+        let at = order.iter().position(|&x| x == b);
+        at.map(|i| order.remove(i)).is_some()
+    }
+
+    /// Inserts `b` at the MRU (or LRU) end, then evicts from the LRU end
+    /// past the capacity; returns whether `b` was present and the victim.
+    fn insert(&mut self, b: BlockId, mru: bool) -> (bool, Option<BlockId>) {
+        let present = Self::take(&mut self.cache, b);
+        if mru {
+            self.cache.insert(0, b);
+        } else {
+            self.cache.push(b);
+        }
+        let victim = if self.cache.len() > self.capacity {
+            self.cache.pop()
+        } else {
+            None
+        };
+        (present, victim)
+    }
+
+    fn apply(&mut self, op: u8, b: BlockId) -> Ret {
+        match op {
+            0 => {
+                let present = Self::take(&mut self.stack, b);
+                self.stack.insert(0, b);
+                Ret::Present(present)
+            }
+            1 => {
+                let present = Self::take(&mut self.stack, b);
+                self.stack.push(b);
+                Ret::Present(present)
+            }
+            2 => Ret::Present(Self::take(&mut self.stack, b)),
+            3 => Ret::Key(self.stack.pop()),
+            4 => match self.insert(b, true) {
+                (true, _) => Ret::Event(CacheEvent::Hit),
+                (false, evicted) => Ret::Event(CacheEvent::Miss { evicted }),
+            },
+            5 => Ret::Key(self.insert(b, true).1),
+            6 => Ret::Key(self.insert(b, false).1),
+            _ => Ret::Present(Self::take(&mut self.cache, b)),
+        }
+    }
+
+    fn state(&self) -> (usize, Vec<BlockId>, usize, Vec<BlockId>) {
+        (
+            self.stack.len(),
+            self.stack.clone(),
+            self.cache.len(),
+            self.cache.clone(),
+        )
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
@@ -170,6 +285,35 @@ proptest! {
             }
         }
         prop_assert_eq!(incremental.len(), oneshot.len());
+    }
+
+    /// `LruStack`/`LruCache` behave identically under all three node
+    /// locators — the default Fx map and `BlockMap` in both modes — and
+    /// match a vector model, for block ids on both sides of
+    /// `DIRECT_LIMIT`: small direct-indexed ids and file-set ids
+    /// `(f << 32) | o` that take the dense map's sparse fallback.
+    #[test]
+    fn lru_locators_agree_with_a_vector_model(
+        capacity in 1usize..8,
+        ops in proptest::collection::vec((0u8..8, 0u64..24, any::<bool>()), 0..300),
+    ) {
+        let mut fx = Lrus::new(capacity, fxhash::FxHashMap::<BlockId, NodeHandle>::default);
+        let mut dense = Lrus::new(capacity, || BlockMap::<NodeHandle>::new(TableMode::Dense));
+        let mut hashed = Lrus::new(capacity, || BlockMap::<NodeHandle>::new(TableMode::Hashed));
+        let mut model = LruModel { stack: Vec::new(), cache: Vec::new(), capacity };
+        for &(op, k, file_set) in &ops {
+            let raw = if file_set { ((k % 4 + 1) << 32) | (k / 4) } else { k };
+            prop_assert_eq!(raw >= DIRECT_LIMIT, file_set);
+            let b = BlockId::new(raw);
+            let want = model.apply(op, b);
+            prop_assert_eq!(fx.apply(op, b), want);
+            prop_assert_eq!(dense.apply(op, b), want);
+            prop_assert_eq!(hashed.apply(op, b), want);
+            let state = model.state();
+            prop_assert_eq!(fx.state(), state);
+            prop_assert_eq!(dense.state(), state);
+            prop_assert_eq!(hashed.state(), state);
+        }
     }
 
     /// Dense and hashed `BlockMap`s stay observationally equal under an

@@ -9,6 +9,21 @@ cargo test -q --workspace
 cargo clippy --all-targets -- -D warnings
 cargo test --features debug_invariants -q
 
+# Published-figure drift gate: the committed Figure 6/7 tables must be
+# exactly what the engines print today at --scale=default (about 35 s of
+# release run time). Any change to simulated numbers — intended or not —
+# fails here until results/ is regenerated with the same commands and
+# EXPERIMENTS.md is updated to match.
+for fig in fig6 fig7; do
+  extra=()
+  if [[ "$fig" == fig7 ]]; then extra=(--detail); fi
+  if ! cargo run -q --release -p ulc-bench --bin "$fig" -- --scale=default "${extra[@]}" |
+    diff -u "results/${fig}_default.txt" -; then
+    echo "tier1: $fig output drifted from results/${fig}_default.txt" >&2
+    exit 1
+  fi
+done
+
 # Lint gates (ISSUES 5 and 7). The linter's own suite first (parser,
 # call graph, fixtures, CLI), then the workspace pass as a *diff gate*:
 # it fails only on findings whose fingerprint is not in the committed
