@@ -3,7 +3,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use ulc_core::{UlcConfig, UlcSingle};
-use ulc_hierarchy::{simulate, IndLru, MultiLevelPolicy, UniLru};
+use ulc_hierarchy::{simulate, IndLru, UniLru};
 use ulc_trace::synthetic;
 
 fn bench_three_level_protocols(c: &mut Criterion) {

@@ -27,10 +27,10 @@
 //!
 //! `--bench-json=<path>` runs the E9 engine-throughput study
 //! ([`ulc_bench::throughput`]) and writes the report (accesses/sec per
-//! protocol × workload × trace size, interned vs map-backed reference)
-//! to the given path — `BENCH_sim.json` at the repo root by convention.
+//! protocol × workload × trace size) to the given path —
+//! `BENCH_sim.json` at the repo root by convention.
 //! `--bench-baseline=<path>` additionally compares the fresh report
-//! against a checked-in baseline and exits non-zero if any interned
+//! against a checked-in baseline and exits non-zero if any
 //! accesses/sec rate regressed by more than 25%, or if a wide sharded
 //! ULC-multi row fails the E11 shard-scaling floor (2x the serial
 //! baseline rate). `--bench-only` skips the figure sweep so CI can gate

@@ -7,8 +7,8 @@
 //! the workloads, runs the protocols and returns plain data structures;
 //! [`degradation`] adds our fault-injection study (hit rate vs message
 //! drop rate over the `FaultyPlane`); [`throughput`] adds the E9
-//! engine-speed study (interned flat tables vs the retained map-backed
-//! reference path, gated in CI against `BENCH_baseline.json`);
+//! engine-speed study (accesses/sec per engine, gated in CI against
+//! `BENCH_baseline.json`);
 //! the `src/bin` entry points print them in the layout of the paper's
 //! tables and figures. The grid loops inside each module fan their cells
 //! across cores through [`sweep::par_map`], and the `sweep` binary runs

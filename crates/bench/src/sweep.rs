@@ -101,6 +101,9 @@ impl SweepSummary {
 
 type SweepTask<R> = Box<dyn FnOnce() -> R + Send>;
 
+/// A queued task's slot, emptied by the worker that runs it.
+type TaskSlot<R> = Mutex<Option<(String, SweepTask<R>)>>;
+
 /// A set of named, independent tasks run concurrently with per-task
 /// timing. Results come back in submission order.
 pub struct Sweep<R: Send> {
@@ -136,8 +139,11 @@ impl<R: Send> Sweep<R> {
     pub fn run(self) -> (Vec<R>, SweepSummary) {
         // lint:allow(determinism) wall-clock timing of the sweep harness itself; never feeds simulator results
         let started = Instant::now();
-        let cells: Vec<Mutex<Option<(String, SweepTask<R>)>>> =
-            self.tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
+        let cells: Vec<TaskSlot<R>> = self
+            .tasks
+            .into_iter()
+            .map(|t| Mutex::new(Some(t)))
+            .collect();
         let timed: Vec<(String, R, f64)> = par_map(&cells, |cell| {
             let (name, task) = cell
                 .lock()

@@ -1,20 +1,17 @@
-//! E9: simulation-engine throughput — interned flat tables vs the
-//! retained map-backed reference path.
+//! E9: simulation-engine throughput — accesses/sec of every engine.
 //!
-//! Every cell runs the same protocol over the same trace twice: once in
-//! the default [`TableMode::Dense`] (dense block indices, flat `Vec`
-//! tables, dense queue array) and once in [`TableMode::Hashed`] over the
-//! retained [`MapReliablePlane`], i.e. the representation the engine used
-//! before the interning rework. Both runs produce identical `SimStats`
-//! (the differential suite in `ulc-core` proves this bit-exactly); only
-//! the wall-clock differs, and accesses/sec is the figure of merit.
+//! Every cell times `simulate` of one protocol over one trace
+//! (best-of-N) and, for the multi-client engine, the sharded executor at
+//! each requested shard count. A row's `speedup` is its rate over the
+//! same run's live serial rate of that cell: `1.0` on serial rows, the
+//! parallel scaling factor on sharded ones.
 //!
 //! The `sweep` binary writes the report to `BENCH_sim.json` via
 //! `--bench-json=` and gates regressions against a checked-in baseline
 //! via `--bench-baseline=` (see [`check_against_baseline`]).
 //!
 //! With the `alloc_stats` feature the harness additionally profiles heap
-//! allocations per access on the interned engine, split into a warmup
+//! allocations per access, split into a warmup
 //! phase (the first 90 % of the trace, where tables grow to their
 //! high-water marks) and a steady-state phase (the last 10 %, which the
 //! §5f zero-allocation contract requires to be allocation-free); see
@@ -22,24 +19,21 @@
 
 use crate::obs_report::{ObsSection, OBS_RING_CAPACITY};
 use crate::{alloc_stats, row, Scale};
-use serde::Serialize;
+use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use ulc_core::parallel::ShardedReplayer;
 use ulc_core::{UlcConfig, UlcMultiConfig, UlcMulti, UlcSingle};
-use ulc_hierarchy::reference::MapReliablePlane;
-use ulc_hierarchy::{
-    simulate, AccessOutcome, EvictionBased, MultiLevelPolicy, SimStats, UniLru, UniLruVariant,
-};
+use ulc_hierarchy::{simulate, AccessOutcome, EvictionBased, MultiLevelPolicy, SimStats, UniLru};
 use ulc_obs::Observe;
 use ulc_trace::patterns::{LoopingPattern, Pattern};
-use ulc_trace::{synthetic, TableMode, Trace};
+use ulc_trace::{synthetic, Trace};
 
 /// Shard counts the sharded ULC-multi cells are measured at by default
 /// (E11's scaling curve); `--threads=` on the sweep binary overrides.
 pub const DEFAULT_THREAD_COUNTS: [usize; 2] = [2, 8];
 
 /// One protocol × workload × trace-size measurement.
-#[derive(Clone, Debug, Serialize)]
+#[derive(Clone, Debug, Serialize, Deserialize)]
 pub struct ThroughputRow {
     /// Protocol name as used in the figures ("ULC", "uniLRU", …).
     pub protocol: String,
@@ -51,55 +45,19 @@ pub struct ThroughputRow {
     /// `> 1` is the sharded executor (`ulc_core::parallel`,
     /// DESIGN.md §5i), which is bit-identical to serial by contract.
     pub threads: usize,
-    /// Accesses per second of the live interned engine.
+    /// Accesses per second of the engine.
     pub interned_aps: f64,
-    /// Accesses per second of the map-backed reference path. For sharded
-    /// rows (`threads > 1`) this is the *serial interned* rate instead,
-    /// so `speedup` reads as the parallel scaling factor.
-    pub reference_aps: f64,
-    /// `interned_aps / reference_aps`.
+    /// `interned_aps` over the same run's serial rate of this cell:
+    /// `1.0` on serial rows, the parallel scaling factor on sharded ones.
     pub speedup: f64,
-    /// Heap allocations per access on the interned engine during the
-    /// warmup phase (first 90 % of the trace). Zero when the report was
-    /// generated without the `alloc_stats` feature.
+    /// Heap allocations per access during the warmup phase (first 90 %
+    /// of the trace). Zero when the report was generated without the
+    /// `alloc_stats` feature.
     pub warmup_allocs_per_access: f64,
-    /// Heap allocations per access on the interned engine during the
-    /// steady-state phase (last 10 % of the trace). The §5f contract
-    /// requires exactly zero for the pooled ReliablePlane engines.
+    /// Heap allocations per access during the steady-state phase (last
+    /// 10 % of the trace). The §5f contract requires exactly zero for the
+    /// pooled ReliablePlane engines.
     pub steady_allocs_per_access: f64,
-}
-
-// Hand-written so the allocation columns default to zero and the
-// `threads` column defaults to one (serial) when a baseline recorded
-// before they existed is loaded (the vendored serde derive has no
-// `#[serde(default)]`).
-impl serde::Deserialize for ThroughputRow {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected object for ThroughputRow"))?;
-        let opt_f64 = |name: &str| match serde::get_field(fields, name) {
-            Ok(value) => serde::Deserialize::from_value(value),
-            Err(_) => Ok(0.0),
-        };
-        Ok(ThroughputRow {
-            protocol: serde::Deserialize::from_value(serde::get_field(fields, "protocol")?)?,
-            workload: serde::Deserialize::from_value(serde::get_field(fields, "workload")?)?,
-            refs: serde::Deserialize::from_value(serde::get_field(fields, "refs")?)?,
-            threads: match serde::get_field(fields, "threads") {
-                Ok(value) => serde::Deserialize::from_value(value)?,
-                Err(_) => 1,
-            },
-            interned_aps: serde::Deserialize::from_value(serde::get_field(fields, "interned_aps")?)?,
-            reference_aps: serde::Deserialize::from_value(serde::get_field(
-                fields,
-                "reference_aps",
-            )?)?,
-            speedup: serde::Deserialize::from_value(serde::get_field(fields, "speedup")?)?,
-            warmup_allocs_per_access: opt_f64("warmup_allocs_per_access")?,
-            steady_allocs_per_access: opt_f64("steady_allocs_per_access")?,
-        })
-    }
 }
 
 /// The full throughput report, serialised to `BENCH_sim.json`.
@@ -271,9 +229,9 @@ fn alloc_profile_sharded<F: Fn() -> UlcMulti>(build: F, trace: &Trace, threads: 
     )
 }
 
-/// Measures one sharded-executor cell. `serial_aps` is the serial
-/// interned rate of the same protocol × workload × size, reported in the
-/// `reference` column so `speedup` reads as the parallel scaling factor.
+/// Measures one sharded-executor cell. `serial_aps` is the same run's
+/// serial rate of the protocol × workload × size, so `speedup` reads as
+/// the parallel scaling factor.
 fn measure_sharded<F: Fn() -> UlcMulti>(
     protocol: &str,
     workload: &str,
@@ -291,34 +249,24 @@ fn measure_sharded<F: Fn() -> UlcMulti>(
         refs: trace.len(),
         threads,
         interned_aps,
-        reference_aps: serial_aps,
         speedup: interned_aps / serial_aps.max(1e-9),
         warmup_allocs_per_access,
         steady_allocs_per_access,
     }
 }
 
-/// Measures one cell: the interned engine against its map-backed twin.
-fn measure<D, H, FD, FH>(
-    protocol: &str,
-    workload: &str,
-    trace: &Trace,
-    dense: FD,
-    hashed: FH,
-) -> ThroughputRow
+/// Measures one serial cell.
+fn measure<P, F>(protocol: &str, workload: &str, trace: &Trace, build: F) -> ThroughputRow
 where
-    D: MultiLevelPolicy + Observe,
-    H: MultiLevelPolicy,
-    FD: Fn() -> D,
-    FH: Fn() -> H,
+    P: MultiLevelPolicy + Observe,
+    F: Fn() -> P,
 {
-    let interned_aps = best_aps(&dense, trace);
-    let reference_aps = best_aps(&hashed, trace);
+    let interned_aps = best_aps(&build, trace);
     // The allocation profile runs with a live recorder attached (when the
     // `obs` feature compiled one in): the §5f zero-allocation contract
     // must hold for the *instrumented* hot path too. Attaching allocates
     // once, here, before `alloc_profile` resets the counters.
-    let mut profiled = dense();
+    let mut profiled = build();
     let levels = profiled.num_levels();
     profiled.obs_mut().enable(levels, OBS_RING_CAPACITY);
     let (warmup_allocs_per_access, steady_allocs_per_access) = alloc_profile(profiled, trace);
@@ -328,8 +276,7 @@ where
         refs: trace.len(),
         threads: 1,
         interned_aps,
-        reference_aps,
-        speedup: interned_aps / reference_aps.max(1e-9),
+        speedup: 1.0,
         warmup_allocs_per_access,
         steady_allocs_per_access,
     }
@@ -338,9 +285,8 @@ where
 /// Runs the full throughput study.
 ///
 /// The headline workload is the D=100k looping pattern: a footprint large
-/// enough that per-block tables dominate the per-reference cost, which is
-/// exactly where dense indices beat hashing. `zipf-small` covers the
-/// skewed small-footprint regime and `httpd-multi`/`db2-multi` the
+/// enough that per-block tables dominate the per-reference cost.
+/// `zipf-small` covers the skewed small-footprint regime and `httpd-multi`/`db2-multi` the
 /// multi-client ULC engine with its message plane, each additionally
 /// measured under the sharded executor at [`DEFAULT_THREAD_COUNTS`].
 pub fn run(scale: Scale) -> ThroughputReport {
@@ -356,80 +302,27 @@ pub fn run_with_threads(scale: Scale, thread_counts: &[usize]) -> ThroughputRepo
     let mut rows = Vec::new();
     for refs in trace_sizes(scale) {
         let looping = LoopingPattern::new(100_000).generate(refs);
-        rows.push(measure(
-            "ULC",
-            "loop-100k",
-            &looping,
-            || UlcSingle::new(UlcConfig::new(vec![40_000, 80_000])),
-            || UlcSingle::new_with_mode(UlcConfig::new(vec![40_000, 80_000]), TableMode::Hashed),
-        ));
-        rows.push(measure(
-            "uniLRU",
-            "loop-100k",
-            &looping,
-            || UniLru::single_client(vec![40_000, 80_000]),
-            || {
-                UniLru::multi_client_with_mode(
-                    vec![40_000],
-                    vec![80_000],
-                    UniLruVariant::MruInsert,
-                    TableMode::Hashed,
-                )
-                .with_plane(MapReliablePlane::new())
-            },
-        ));
-        rows.push(measure(
-            "evict-reload",
-            "loop-100k",
-            &looping,
-            || EvictionBased::new(vec![40_000], 80_000, 5),
-            || {
-                EvictionBased::new_with_mode(vec![40_000], 80_000, 5, TableMode::Hashed)
-                    .with_plane(MapReliablePlane::new())
-            },
-        ));
+        rows.push(measure("ULC", "loop-100k", &looping, || {
+            UlcSingle::new(UlcConfig::new(vec![40_000, 80_000]))
+        }));
+        rows.push(measure("uniLRU", "loop-100k", &looping, || {
+            UniLru::single_client(vec![40_000, 80_000])
+        }));
+        rows.push(measure("evict-reload", "loop-100k", &looping, || {
+            EvictionBased::new(vec![40_000], 80_000, 5)
+        }));
 
         let zipf = synthetic::zipf_small(refs);
-        rows.push(measure(
-            "ULC",
-            "zipf-small",
-            &zipf,
-            || UlcSingle::new(UlcConfig::new(vec![400, 400, 400])),
-            || {
-                UlcSingle::new_with_mode(
-                    UlcConfig::new(vec![400, 400, 400]),
-                    TableMode::Hashed,
-                )
-            },
-        ));
-        rows.push(measure(
-            "uniLRU",
-            "zipf-small",
-            &zipf,
-            || UniLru::single_client(vec![400, 400, 400]),
-            || {
-                UniLru::multi_client_with_mode(
-                    vec![400],
-                    vec![400, 400],
-                    UniLruVariant::MruInsert,
-                    TableMode::Hashed,
-                )
-                .with_plane(MapReliablePlane::new())
-            },
-        ));
+        rows.push(measure("ULC", "zipf-small", &zipf, || {
+            UlcSingle::new(UlcConfig::new(vec![400, 400, 400]))
+        }));
+        rows.push(measure("uniLRU", "zipf-small", &zipf, || {
+            UniLru::single_client(vec![400, 400, 400])
+        }));
 
         let multi = synthetic::httpd_multi(refs);
         let httpd_build = || UlcMulti::new(UlcMultiConfig::uniform(7, 1024, 8192));
-        rows.push(measure(
-            "ULC-multi",
-            "httpd-multi",
-            &multi,
-            httpd_build,
-            || {
-                UlcMulti::new_with_mode(UlcMultiConfig::uniform(7, 1024, 8192), TableMode::Hashed)
-                    .with_plane(MapReliablePlane::new())
-            },
-        ));
+        rows.push(measure("ULC-multi", "httpd-multi", &multi, httpd_build));
         let httpd_serial_aps = rows.last().expect("row just pushed").interned_aps;
         for &threads in thread_counts {
             rows.push(measure_sharded(
@@ -450,16 +343,7 @@ pub fn run_with_threads(scale: Scale, thread_counts: &[usize]) -> ThroughputRepo
         // low end of the same curve at ~17% exclusive references).
         let db2 = synthetic::db2_multi(refs, 8_000);
         let db2_build = || UlcMulti::new(UlcMultiConfig::uniform(8, 1024, 8192));
-        rows.push(measure(
-            "ULC-multi",
-            "db2-multi",
-            &db2,
-            db2_build,
-            || {
-                UlcMulti::new_with_mode(UlcMultiConfig::uniform(8, 1024, 8192), TableMode::Hashed)
-                    .with_plane(MapReliablePlane::new())
-            },
-        ));
+        rows.push(measure("ULC-multi", "db2-multi", &db2, db2_build));
         let db2_serial_aps = rows.last().expect("row just pushed").interned_aps;
         for &threads in thread_counts {
             rows.push(measure_sharded(
@@ -496,7 +380,7 @@ pub fn fmt_aps(aps: f64) -> String {
 pub fn render(report: &ThroughputReport) -> String {
     let mut s = String::new();
     s.push_str(&format!(
-        "E9: engine throughput, interned flat tables vs map-backed reference ({} scale)\n",
+        "E9: engine throughput ({} scale)\n",
         report.scale
     ));
     s.push_str(&row(
@@ -505,8 +389,7 @@ pub fn render(report: &ThroughputReport) -> String {
             "workload".into(),
             "refs".into(),
             "thr".into(),
-            "interned".into(),
-            "reference".into(),
+            "aps".into(),
             "speedup".into(),
             "w-allocs/a".into(),
             "s-allocs/a".into(),
@@ -521,7 +404,6 @@ pub fn render(report: &ThroughputReport) -> String {
                 format!("{}", r.refs),
                 format!("{}", r.threads),
                 fmt_aps(r.interned_aps),
-                fmt_aps(r.reference_aps),
                 format!("{:.2}x", r.speedup),
                 format!("{:.4}", r.warmup_allocs_per_access),
                 format!("{:.4}", r.steady_allocs_per_access),
@@ -679,8 +561,7 @@ mod tests {
             refs: 1000,
             threads: 1,
             interned_aps: aps,
-            reference_aps: aps / 2.0,
-            speedup: 2.0,
+            speedup: 1.0,
             warmup_allocs_per_access: 0.0,
             steady_allocs_per_access: 0.0,
         }
@@ -781,15 +662,14 @@ mod tests {
     }
 
     #[test]
-    fn baseline_without_alloc_columns_deserialises() {
-        // Pre-§5f baselines lack the allocation columns; they must load
-        // with zero defaults so the throughput gate keeps working.
+    fn baseline_without_obs_section_deserialises() {
+        // The checked-in baseline has no `obs` key; it must load with the
+        // section absent so the throughput gate keeps working.
         let text = r#"{"scale":"smoke","rows":[{"protocol":"ULC","workload":"loop-100k",
-            "refs":1000,"interned_aps":1.0,"reference_aps":0.5,"speedup":2.0}]}"#;
-        let rep: ThroughputReport = serde_json::from_str(text).expect("old-format baseline");
-        assert_eq!(rep.rows[0].steady_allocs_per_access, 0.0);
-        assert_eq!(rep.rows[0].warmup_allocs_per_access, 0.0);
-        assert_eq!(rep.rows[0].threads, 1, "missing threads column is serial");
+            "refs":1000,"threads":1,"interned_aps":1.0,"speedup":1.0,
+            "warmup_allocs_per_access":0.0,"steady_allocs_per_access":0.0}]}"#;
+        let rep: ThroughputReport = serde_json::from_str(text).expect("baseline without obs");
+        assert_eq!(rep.rows[0].interned_aps, 1.0);
         assert!(rep.obs.is_none(), "missing obs section defaults to None");
     }
 
@@ -802,18 +682,13 @@ mod tests {
     #[test]
     fn smoke_run_covers_every_protocol_and_size() {
         // A micro-run (not the real scale) proving the harness wiring:
-        // every cell produces positive rates and a finite speedup.
+        // a serial cell produces a positive rate and a unit speedup.
         let looping = LoopingPattern::new(500).generate(2_000);
-        let cell = measure(
-            "ULC",
-            "loop-tiny",
-            &looping,
-            || UlcSingle::new(UlcConfig::new(vec![200, 400])),
-            || UlcSingle::new_with_mode(UlcConfig::new(vec![200, 400]), TableMode::Hashed),
-        );
+        let cell = measure("ULC", "loop-tiny", &looping, || {
+            UlcSingle::new(UlcConfig::new(vec![200, 400]))
+        });
         assert!(cell.interned_aps > 0.0);
-        assert!(cell.reference_aps > 0.0);
-        assert!(cell.speedup.is_finite());
+        assert_eq!(cell.speedup, 1.0);
         assert_eq!(cell.refs, 2_000);
     }
 

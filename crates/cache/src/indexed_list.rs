@@ -582,7 +582,7 @@ mod tests {
                     seen += 1;
                 }
             }
-            assert_eq!(fen.select(seen as usize), None);
+            assert_eq!(fen.select(seen), None);
         }
     }
 

@@ -338,7 +338,7 @@ mod tests {
             m.access(100 + i % 3);
         }
         assert!(
-            m.meta.get(&1).map_or(true, |meta| meta.queue < 2),
+            m.meta.get(&1).is_none_or(|meta| meta.queue < 2),
             "idle block should be demoted or evicted"
         );
     }

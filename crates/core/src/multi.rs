@@ -46,7 +46,7 @@ use ulc_cache::{LinkedSlab, NodeHandle};
 use ulc_hierarchy::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
 use ulc_hierarchy::{AccessOutcome, FaultSummary, MultiLevelPolicy};
 use ulc_obs::{Observe, ObsHandle};
-use ulc_trace::{BlockId, BlockMap, ClientId, TableMode};
+use ulc_trace::{BlockId, BlockMap, ClientId};
 
 /// A block's row in the server's `gLRU`: its node in the request-time
 /// order and its owner, found together by one block-table lookup.
@@ -66,7 +66,7 @@ struct GlobalLru {
 }
 
 impl GlobalLru {
-    fn new(capacity: usize, mode: TableMode) -> Self {
+    fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "server capacity must be positive");
         let mut order = LinkedSlab::new();
         // Occupancy is bounded by `capacity + 1` (cache_request inserts
@@ -77,7 +77,7 @@ impl GlobalLru {
         // steady phase (the §5f gate forbids exactly that). Reserving the
         // full capacity up front caps the whole run.
         order.reserve(capacity + 1);
-        let mut slots = BlockMap::new(mode);
+        let mut slots = BlockMap::new();
         slots.reserve(capacity + 1);
         GlobalLru {
             order,
@@ -245,7 +245,6 @@ pub struct UlcMulti<P: MessagePlane = ReliablePlane> {
     server: GlobalLru,
     claim_rule: ClaimRule,
     config: UlcMultiConfig,
-    table_mode: TableMode,
     plane: P,
     /// Protocol-side recovery counters (the plane keeps the transport
     /// counters itself).
@@ -272,18 +271,6 @@ impl UlcMulti {
     ///
     /// Panics if there are no clients or any capacity is zero.
     pub fn new(config: UlcMultiConfig) -> Self {
-        UlcMulti::new_with_mode(config, TableMode::Dense)
-    }
-
-    /// [`UlcMulti::new`] with an explicit block-table representation:
-    /// `TableMode::Dense` (the default interned flat tables) or
-    /// `TableMode::Hashed` (the retained map-backed reference path used by
-    /// the differential suite and throughput baselines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if there are no clients or any capacity is zero.
-    pub fn new_with_mode(config: UlcMultiConfig, mode: TableMode) -> Self {
         assert!(
             !config.client_capacities.is_empty(),
             "at least one client is required"
@@ -299,8 +286,7 @@ impl UlcMulti {
             .client_capacities
             .iter()
             .map(|&c| {
-                let mut stack =
-                    UniLruStack::new_with_mode(vec![c, config.server_capacity], mode);
+                let mut stack = UniLruStack::new(vec![c, config.server_capacity]);
                 // Resident entries are the cached view (client + server
                 // share) plus uncached history above the last yardstick,
                 // whose high-water is reached late in a run; reserving a
@@ -312,10 +298,9 @@ impl UlcMulti {
             .collect();
         UlcMulti {
             clients,
-            server: GlobalLru::new(config.server_capacity, mode),
+            server: GlobalLru::new(config.server_capacity),
             claim_rule: config.claim_rule,
             config,
-            table_mode: mode,
             plane: ReliablePlane::new(),
             recovery: FaultSummary::default(),
             scratch: AccessScratch::new(),
@@ -338,7 +323,6 @@ impl<P: MessagePlane> UlcMulti<P> {
             server: self.server,
             claim_rule: self.claim_rule,
             config: self.config,
-            table_mode: self.table_mode,
             plane,
             recovery: self.recovery,
             scratch: self.scratch,
@@ -575,18 +559,15 @@ impl<P: MessagePlane> UlcMulti<P> {
         for &level in &crashes {
             if level == 0 {
                 for (i, cs) in self.clients.iter_mut().enumerate() {
-                    cs.stack = UniLruStack::new_with_mode(
-                        vec![
-                            self.config.client_capacities[i],
-                            self.config.server_capacity,
-                        ],
-                        self.table_mode,
-                    );
+                    cs.stack = UniLruStack::new(vec![
+                        self.config.client_capacities[i],
+                        self.config.server_capacity,
+                    ]);
                     cs.dirty = false; // a cold client believes nothing
                     self.plane.purge_link(i);
                 }
             } else if level == 1 {
-                self.server = GlobalLru::new(self.server.capacity, self.table_mode);
+                self.server = GlobalLru::new(self.server.capacity);
                 for i in 0..self.clients.len() {
                     self.plane.purge_link(i);
                     self.clients[i].dirty = true;
@@ -681,13 +662,6 @@ impl<P: MessagePlane> UlcMulti<P> {
 }
 
 impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
-    fn access(&mut self, client: ClientId, block: BlockId) -> AccessOutcome {
-        // allocation-free path is access_into.
-        let mut out = AccessOutcome::miss(1);
-        self.access_into(client, block, &mut out);
-        out
-    }
-
     fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome) {
         let c = client.as_usize();
         assert!(c < self.clients.len(), "unknown client {client}");

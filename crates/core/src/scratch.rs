@@ -18,8 +18,10 @@
 //! The buffers are plain data: reading stale contents is prevented by
 //! [`AccessScratch::reset`], which every `access_into` entry point calls
 //! first, so a "dirty" scratch handed from a previous access (of any
-//! protocol) is always equivalent to a fresh one. The differential suite
-//! `tests/scratch_vs_reference.rs` proves that bit-exactly.
+//! protocol) is always equivalent to a fresh one. The golden `SimStats`
+//! grid (`tests/golden_stats.rs`) pins that bit-exactly for every engine
+//! through a dirty reused outcome, and `tests/scratch_vs_reference.rs`
+//! for the raw stack through a dirty reused scratch.
 
 use smallvec::SmallVec;
 use ulc_cache::NodeHandle;

@@ -11,7 +11,7 @@ use crate::stack::{Placement, UniLruStack};
 use ulc_cache::LruStack;
 use ulc_hierarchy::{AccessOutcome, MultiLevelPolicy};
 use ulc_obs::{Observe, ObsHandle};
-use ulc_trace::{BlockId, ClientId, TableMode};
+use ulc_trace::{BlockId, ClientId};
 
 /// Configuration for the single-client ULC protocol.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -103,19 +103,7 @@ impl UlcSingle {
     ///
     /// Panics if the configuration has no levels or a zero capacity.
     pub fn new(config: UlcConfig) -> Self {
-        UlcSingle::new_with_mode(config, TableMode::Dense)
-    }
-
-    /// [`UlcSingle::new`] with an explicit block-table representation:
-    /// `TableMode::Dense` (the default interned flat tables) or
-    /// `TableMode::Hashed` (the retained map-backed reference path used by
-    /// the differential suite and throughput baselines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration has no levels or a zero capacity.
-    pub fn new_with_mode(config: UlcConfig, mode: TableMode) -> Self {
-        let mut stack = UniLruStack::new_with_mode(config.capacities.clone(), mode);
+        let mut stack = UniLruStack::new(config.capacities.clone());
         stack.set_stack_limit(config.stack_limit);
         let levels = config.capacities.len();
         UlcSingle {
@@ -184,13 +172,6 @@ impl UlcSingle {
 }
 
 impl MultiLevelPolicy for UlcSingle {
-    fn access(&mut self, client: ClientId, block: BlockId) -> AccessOutcome {
-        // allocation-free path is access_into.
-        let mut out = AccessOutcome::miss(self.stack.num_levels() - 1);
-        self.access_into(client, block, &mut out);
-        out
-    }
-
     fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome) {
         assert_eq!(
             client,

@@ -34,7 +34,7 @@
 
 use crate::scratch::AccessScratch;
 use ulc_cache::{LinkedSlab, NodeHandle};
-use ulc_trace::{BlockId, BlockMap, TableMode};
+use ulc_trace::{BlockId, BlockMap};
 
 /// Level tag for "not cached at any level".
 const OUT: u8 = u8::MAX;
@@ -106,9 +106,7 @@ pub struct StackOutcome {
 #[derive(Debug)]
 pub struct UniLruStack {
     list: LinkedSlab<Entry>,
-    /// Block → node location. Interned dense table by default; the
-    /// map-backed reference representation via
-    /// [`UniLruStack::new_with_mode`].
+    /// Block → node location.
     map: BlockMap<NodeHandle>,
     yardsticks: Vec<Option<NodeHandle>>,
     counts: Vec<usize>,
@@ -132,19 +130,6 @@ impl UniLruStack {
     /// Panics if `capacities` is empty, has more than 250 levels, or any
     /// capacity is zero.
     pub fn new(capacities: Vec<usize>) -> Self {
-        UniLruStack::new_with_mode(capacities, TableMode::Dense)
-    }
-
-    /// Creates a stack with an explicit node-table representation:
-    /// [`TableMode::Dense`] (interned flat table, the default engine) or
-    /// [`TableMode::Hashed`] (the retained map-backed reference path used
-    /// by the differential suite and the throughput benchmarks).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacities` is empty, has more than 250 levels, or any
-    /// capacity is zero.
-    pub fn new_with_mode(capacities: Vec<usize>, mode: TableMode) -> Self {
         assert!(!capacities.is_empty(), "at least one level is required");
         assert!(capacities.len() < OUT as usize, "too many levels");
         assert!(
@@ -154,7 +139,7 @@ impl UniLruStack {
         let n = capacities.len();
         UniLruStack {
             list: LinkedSlab::new(),
-            map: BlockMap::new(mode),
+            map: BlockMap::new(),
             yardsticks: vec![None; n],
             counts: vec![0; n],
             capacities,

@@ -1,5 +1,5 @@
-//! Helpers shared by the integration suites (differential oracles,
-//! chaos, observability conservation). Each suite pulls in the subset it
+//! Helpers shared by the integration suites (golden grid, differential
+//! oracles, chaos, observability conservation). Each suite pulls in the subset it
 //! needs via `mod common;`.
 #![allow(dead_code)]
 
@@ -22,15 +22,16 @@ pub fn multi_client_workloads() -> Vec<(&'static str, Trace, usize)> {
     ]
 }
 
-/// The pinned actively-faulty scenario of the differential suites: mild
-/// mixed faults plus a mid-run server crash. The RNG stream is a pure
-/// function of the scenario, so runs over it are still deterministic.
+/// The pinned actively-faulty scenario of the golden grid and the
+/// differential suites: mild mixed faults plus a mid-run server crash.
+/// The RNG stream is a pure function of the scenario, so runs over it are
+/// still deterministic.
 pub fn crashy_mild_scenario() -> FaultScenario {
     FaultScenario::mild(97).with_crash(15_000, 1)
 }
 
 /// Drives `policy` through the by-value [`MultiLevelPolicy::access`]
-/// wrapper — the reference semantics with fresh buffers per reference.
+/// wrapper — a fresh outcome per reference.
 pub fn simulate_by_value<P: MultiLevelPolicy>(
     policy: &mut P,
     trace: &Trace,

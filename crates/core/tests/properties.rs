@@ -63,9 +63,9 @@ proptest! {
         }
         stack.check_invariants();
         let mut seen = std::collections::HashSet::new();
-        for l in 0..caps.len() {
+        for (l, &cap) in caps.iter().enumerate() {
             let level_blocks = stack.level_blocks(l);
-            prop_assert!(level_blocks.len() <= caps[l]);
+            prop_assert!(level_blocks.len() <= cap);
             for b in level_blocks {
                 prop_assert!(seen.insert(b), "block cached at two levels");
             }
@@ -123,8 +123,8 @@ proptest! {
             let mut expect = vec![0u32; caps.len().saturating_sub(1)];
             for &(_, from, to) in &out.demoted {
                 prop_assert!(from < to, "demotions go downward");
-                for m in from..to {
-                    expect[m] += 1;
+                for e in &mut expect[from..to] {
+                    *e += 1;
                 }
             }
             prop_assert_eq!(&out.demotions, &expect);
@@ -144,7 +144,7 @@ proptest! {
         for &(c, b) in &refs {
             let client = ClientId::new(c % clients as u32);
             let out = ulc.access(client, BlockId::new(b));
-            prop_assert!(out.hit_level.map_or(true, |l| l < 2));
+            prop_assert!(out.hit_level.is_none_or(|l| l < 2));
             prop_assert_eq!(out.demotions.len(), 1);
         }
         ulc.check_invariants();

@@ -82,7 +82,7 @@ fn uni_lru_variants_are_bit_identical_on_every_workload() {
             UniLruVariant::LruInsert,
             UniLruVariant::Adaptive,
         ] {
-            let caps = vec![400usize, 400, 400];
+            let caps = [400usize, 400, 400];
             let reliable = UniLru::multi_client(vec![caps[0]], caps[1..].to_vec(), variant);
             let faulty = UniLru::multi_client(vec![caps[0]], caps[1..].to_vec(), variant)
                 .with_plane(FaultyPlane::new(FaultScenario::zero(11)));

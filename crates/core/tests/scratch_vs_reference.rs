@@ -1,146 +1,16 @@
-//! Differential oracle suite for the zero-allocation scratch rework.
+//! Differential oracle suite for the raw `uniLRUstack`'s pooled path.
 //!
-//! Every protocol with a pooled `access_into` path is run twice over
-//! every workload: once through the by-value [`MultiLevelPolicy::access`]
-//! wrapper (the reference semantics, fresh buffers per call) and once
-//! through `access_into` with a **single reused outcome that starts
-//! dirty** — stale hit level, junk demotion counters sized for a
-//! different hierarchy. The two runs must produce bit-identical full
-//! [`SimStats`] — hit counts per level, per-boundary demotion counts,
-//! misses, and every fault-summary counter. This is the proof that the
-//! scratch/pool rework (DESIGN.md §5f) changed where buffers live, not
-//! what any access computes.
+//! [`UniLruStack::access_into`] over a reused [`AccessScratch`] that
+//! starts dirty must make exactly the decisions of the spec-shaped
+//! by-value [`UniLruStack::access`] — found level, placement, per-boundary
+//! demotion counters, demoted and evicted blocks — reference for
+//! reference. The engines' pooled paths are pinned end to end by the
+//! golden `SimStats` grid (`golden_stats.rs`).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use ulc_core::{AccessScratch, UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle, UniLruStack};
-use ulc_hierarchy::plane::FaultyPlane;
-use ulc_hierarchy::{
-    EvictionBased, IndLru, LruMqServer, MultiLevelPolicy, UniLru,
-    UniLruVariant,
-};
-use ulc_trace::{synthetic, BlockId, Trace};
-
-mod common;
-use common::{simulate_by_value, simulate_pooled_dirty, single_client_workloads};
-
-/// Runs two fresh instances of the same configuration, one per driver,
-/// and asserts the full `SimStats` structs are bit-identical.
-fn assert_identical<P: MultiLevelPolicy>(name: &str, trace: &Trace, mut by_value: P, mut pooled: P) {
-    let warmup = trace.warmup_len();
-    let sv = simulate_by_value(&mut by_value, trace, warmup);
-    let sp = simulate_pooled_dirty(&mut pooled, trace, warmup);
-    common::assert_stats_bit_identical(name, &sv, &sp);
-}
-
-#[test]
-fn ulc_single_pooled_path_matches_by_value() {
-    for (name, trace) in single_client_workloads() {
-        assert_identical(
-            &format!("ULC-single/{name}"),
-            &trace,
-            UlcSingle::new(UlcConfig::new(vec![400, 400, 400])),
-            UlcSingle::new(UlcConfig::new(vec![400, 400, 400])),
-        );
-    }
-}
-
-#[test]
-fn uni_lru_variants_pooled_path_matches_by_value() {
-    for (name, trace) in single_client_workloads() {
-        for variant in [
-            UniLruVariant::MruInsert,
-            UniLruVariant::LruInsert,
-            UniLruVariant::Adaptive,
-        ] {
-            assert_identical(
-                &format!("uniLRU/{variant:?}/{name}"),
-                &trace,
-                UniLru::multi_client(vec![400], vec![400, 400], variant),
-                UniLru::multi_client(vec![400], vec![400, 400], variant),
-            );
-        }
-    }
-}
-
-#[test]
-fn ind_lru_pooled_path_matches_by_value() {
-    for (name, trace) in single_client_workloads() {
-        assert_identical(
-            &format!("indLRU/{name}"),
-            &trace,
-            IndLru::single_client(vec![400, 400, 400]),
-            IndLru::single_client(vec![400, 400, 400]),
-        );
-    }
-}
-
-#[test]
-fn eviction_based_pooled_path_matches_by_value() {
-    for (name, trace) in single_client_workloads() {
-        for latency in [0u64, 7] {
-            assert_identical(
-                &format!("evict-reload/{latency}/{name}"),
-                &trace,
-                EvictionBased::new(vec![400], 800, latency),
-                EvictionBased::new(vec![400], 800, latency),
-            );
-        }
-    }
-}
-
-#[test]
-fn mq_server_pooled_path_matches_by_value() {
-    for (name, trace) in single_client_workloads() {
-        assert_identical(
-            &format!("LRU+MQ/{name}"),
-            &trace,
-            LruMqServer::new(vec![400], 800),
-            LruMqServer::new(vec![400], 800),
-        );
-    }
-}
-
-#[test]
-fn ulc_multi_pooled_path_matches_by_value() {
-    for (name, trace, clients) in common::multi_client_workloads() {
-        let config = UlcMultiConfig::uniform(clients, 256, 2048);
-        assert_identical(
-            &format!("ULC/{name}"),
-            &trace,
-            UlcMulti::new(config.clone()),
-            UlcMulti::new(config),
-        );
-    }
-}
-
-#[test]
-fn faulty_plane_pooled_path_matches_by_value() {
-    // Under an actively faulty plane the RNG stream (drops, duplicates,
-    // delays, a crash) is a pure function of the scenario, independent
-    // of which buffer the caller hands in — so the pooled `deliver_into`
-    // and `take_crashes_into` paths must replay the exact fate sequence
-    // of the by-value wrappers, recovery counters included.
-    let scenario = common::crashy_mild_scenario();
-
-    let tm = synthetic::httpd_multi(30_000);
-    assert_identical(
-        "ULC/faulty/httpd",
-        &tm,
-        UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048))
-            .with_plane(FaultyPlane::new(scenario.clone())),
-        UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048))
-            .with_plane(FaultyPlane::new(scenario.clone())),
-    );
-
-    let t = synthetic::cs(30_000);
-    assert_identical(
-        "uniLRU/faulty/cs",
-        &t,
-        UniLru::single_client(vec![500, 500, 500]).with_plane(FaultyPlane::new(scenario.clone())),
-        UniLru::single_client(vec![500, 500, 500]).with_plane(FaultyPlane::new(scenario)),
-    );
-}
+use ulc_core::{AccessScratch, UniLruStack};
+use ulc_trace::BlockId;
 
 #[test]
 fn dirty_scratch_on_the_raw_stack_is_equivalent_to_fresh() {

@@ -74,13 +74,6 @@ impl<P: MultiLevelPolicy> DemotionBuffer<P> {
 }
 
 impl<P: MultiLevelPolicy + Observe> MultiLevelPolicy for DemotionBuffer<P> {
-    fn access(&mut self, client: ClientId, block: BlockId) -> AccessOutcome {
-        // allocation-free path is access_into.
-        let mut out = AccessOutcome::miss(self.num_levels().saturating_sub(1));
-        self.access_into(client, block, &mut out);
-        out
-    }
-
     fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome) {
         for q in &mut self.queues {
             *q = (*q - self.drain_per_ref).max(0.0);

@@ -24,7 +24,7 @@ use crate::{AccessOutcome, MultiLevelPolicy};
 use std::collections::VecDeque;
 use ulc_cache::LruCache;
 use ulc_obs::{Observe, ObsHandle};
-use ulc_trace::{BlockId, BlockMap, ClientId, TableMode};
+use ulc_trace::{BlockId, BlockMap, ClientId};
 
 /// Two-level eviction-based placement: LRU client over an LRU server,
 /// exclusive like DEMOTE, with disk reloads instead of demotions. Generic
@@ -59,33 +59,7 @@ impl EvictionBased {
     /// # Panics
     ///
     /// Panics if `client_capacities` is empty or any capacity is zero.
-    pub fn new(
-        client_capacities: Vec<usize>,
-        server_capacity: usize,
-        reload_latency: u64,
-    ) -> Self {
-        EvictionBased::new_with_mode(
-            client_capacities,
-            server_capacity,
-            reload_latency,
-            TableMode::Dense,
-        )
-    }
-
-    /// [`EvictionBased::new`] with an explicit block-table representation:
-    /// `TableMode::Dense` (the default interned flat tables) or
-    /// `TableMode::Hashed` (the retained map-backed reference path used by
-    /// the differential suite and throughput baselines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client_capacities` is empty or any capacity is zero.
-    pub fn new_with_mode(
-        client_capacities: Vec<usize>,
-        server_capacity: usize,
-        reload_latency: u64,
-        mode: TableMode,
-    ) -> Self {
+    pub fn new(client_capacities: Vec<usize>, server_capacity: usize, reload_latency: u64) -> Self {
         assert!(
             !client_capacities.is_empty(),
             "at least one client is required"
@@ -93,7 +67,7 @@ impl EvictionBased {
         EvictionBased {
             clients: client_capacities.into_iter().map(LruCache::new).collect(),
             server: LruCache::new(server_capacity),
-            pending: BlockMap::new(mode),
+            pending: BlockMap::new(),
             order: VecDeque::new(),
             reload_latency,
             now: 0,
@@ -194,13 +168,6 @@ impl<P: MessagePlane> EvictionBased<P> {
 }
 
 impl<P: MessagePlane> MultiLevelPolicy for EvictionBased<P> {
-    fn access(&mut self, client: ClientId, block: BlockId) -> AccessOutcome {
-        // allocation-free path is access_into.
-        let mut out = AccessOutcome::miss(1);
-        self.access_into(client, block, &mut out);
-        out
-    }
-
     fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome) {
         self.now += 1;
         out.reset(1);

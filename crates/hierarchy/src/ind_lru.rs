@@ -111,13 +111,6 @@ impl<P: MessagePlane> IndLru<P> {
 }
 
 impl<P: MessagePlane> MultiLevelPolicy for IndLru<P> {
-    fn access(&mut self, client: ClientId, block: BlockId) -> AccessOutcome {
-        // allocation-free path is access_into.
-        let mut out = AccessOutcome::miss(self.num_levels() - 1);
-        self.access_into(client, block, &mut out);
-        out
-    }
-
     fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome) {
         let boundaries = self.num_levels() - 1;
         let c = client.as_usize();

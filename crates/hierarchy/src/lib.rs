@@ -53,7 +53,6 @@ mod ind_lru;
 mod mq_server;
 pub mod plane;
 mod protocol;
-pub mod reference;
 mod sim;
 mod stats;
 mod uni_lru;

@@ -60,13 +60,6 @@ impl LruMqServer {
 }
 
 impl MultiLevelPolicy for LruMqServer {
-    fn access(&mut self, client: ClientId, block: BlockId) -> AccessOutcome {
-        // allocation-free path is access_into.
-        let mut out = AccessOutcome::miss(1);
-        self.access_into(client, block, &mut out);
-        out
-    }
-
     fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome) {
         let c = client.as_usize();
         assert!(c < self.clients.len(), "unknown client {client}");

@@ -26,7 +26,7 @@
 //! synchronous RPC ([`MessagePlane::rpc`]) whose request or reply leg can
 //! be lost; placement/demotion instructions and notifications are
 //! asynchronous messages ([`MessagePlane::send`]) drained by the receiving
-//! side with [`MessagePlane::deliver`].
+//! side with [`MessagePlane::deliver_into`].
 //!
 //! Determinism: [`FaultyPlane`] draws every fault decision from the
 //! vendored `rand::rngs::StdRng` seeded by [`FaultScenario::seed`] — the
@@ -106,7 +106,7 @@ pub enum RpcFate {
 pub struct PlaneAccounting {
     /// Messages handed to [`MessagePlane::send`].
     pub sent: u64,
-    /// Messages handed back by [`MessagePlane::deliver`].
+    /// Messages handed back by [`MessagePlane::deliver_into`].
     pub delivered: u64,
     /// Messages lost (fault drops, crash purges and queue overflow).
     pub dropped: u64,
@@ -124,7 +124,7 @@ pub struct PlaneAccounting {
     pub rpc_failures: u64,
     /// Crash events delivered to the protocol.
     pub crashes: u64,
-    /// [`MessagePlane::deliver`] calls that handed back at least one
+    /// [`MessagePlane::deliver_into`] calls that handed back at least one
     /// message. Maintained identically by every plane regardless of its
     /// queue representation, so a zero-fault run on any plane produces
     /// the same count — the regression witness for the allocation-reuse
@@ -205,12 +205,6 @@ impl DeliveryBatch {
     pub fn as_slice(&self) -> &[Message] {
         &self.msgs
     }
-
-    /// Consumes the batch into a plain `Vec` (the by-value
-    /// [`MessagePlane::deliver`] compatibility path).
-    pub fn into_vec(self) -> Vec<Message> {
-        self.msgs
-    }
 }
 
 impl Extend<Message> for DeliveryBatch {
@@ -238,38 +232,15 @@ pub trait MessagePlane: std::fmt::Debug {
     /// The current logical time (references since construction).
     fn now(&self) -> u64;
 
-    /// Levels that crash-and-cold-restart at the current tick. The caller
-    /// wipes the level; in-flight traffic should be purged with
-    /// [`MessagePlane::purge_link`] as appropriate.
-    ///
-    /// By-value wrapper over [`MessagePlane::take_crashes_into`]. An empty
-    /// `Vec` never allocates, so on healthy ticks this is free; pooled
-    /// callers still prefer the `_into` form for a uniform hot path.
-    fn take_crashes(&mut self) -> Vec<usize> {
-        let mut out = Vec::new();
-        self.take_crashes_into(&mut out);
-        out
-    }
-
-    /// Pooled variant of [`MessagePlane::take_crashes`]: clears `out` and
-    /// appends the levels crashing at the current tick. Implementations
-    /// must not allocate when no crash is due (the steady-state case).
+    /// Clears the caller-pooled `out` and appends the levels that
+    /// crash-and-cold-restart at the current tick. The caller wipes the
+    /// level; in-flight traffic should be purged with
+    /// [`MessagePlane::purge_link`] as appropriate. Implementations must
+    /// not allocate when no crash is due (the steady-state case).
     fn take_crashes_into(&mut self, out: &mut Vec<usize>);
 
     /// Enqueues an asynchronous message on `(link, dir)`.
     fn send(&mut self, link: usize, dir: Direction, msg: Message);
-
-    /// Returns every message currently deliverable on `(link, dir)`, in
-    /// delivery order.
-    ///
-    /// By-value wrapper over [`MessagePlane::deliver_into`]; allocates a
-    /// fresh buffer per call, so steady-state hot paths should pool a
-    /// [`DeliveryBatch`] and use the `_into` form instead.
-    fn deliver(&mut self, link: usize, dir: Direction) -> Vec<Message> {
-        let mut batch = DeliveryBatch::new();
-        self.deliver_into(link, dir, &mut batch);
-        batch.into_vec()
-    }
 
     /// Drains every message currently deliverable on `(link, dir)`, in
     /// delivery order, into the caller-pooled `out` (cleared first). The
@@ -282,15 +253,11 @@ pub trait MessagePlane: std::fmt::Debug {
     fn queued(&self, link: usize, dir: Direction) -> Vec<Message>;
 
     /// Number of messages queued on `(link, dir)`, deliverable or still
-    /// in flight — always equal to `self.queued(link, dir).len()`, which
-    /// is what the default computes. Implementations override it with an
-    /// O(1), allocation-free count: the sharded commit walk consults it
-    /// per consumed access to decide whether a delivery round is due, so
-    /// it must be as cheap as an empty-queue check.
-    // lint:cold-path fallback only; every shipped plane overrides this with an O(1) allocation-free count
-    fn queued_len(&self, link: usize, dir: Direction) -> usize {
-        self.queued(link, dir).len()
-    }
+    /// in flight — always equal to `self.queued(link, dir).len()`, but
+    /// O(1) and allocation-free: the sharded commit walk consults it per
+    /// consumed access to decide whether a delivery round is due, so it
+    /// must be as cheap as an empty-queue check.
+    fn queued_len(&self, link: usize, dir: Direction) -> usize;
 
     /// Issues a synchronous demand-read RPC across `link`.
     fn rpc(&mut self, link: usize) -> RpcFate;
@@ -317,9 +284,7 @@ pub trait MessagePlane: std::fmt::Debug {
 /// Queues live in one dense table indexed by `link * 2 + direction`,
 /// grown on demand (the plane learns its link count from traffic). The
 /// queues are recycled in place: a drained slot keeps its buffer, so a
-/// steady-state run allocates nothing per access. The previous ordered-map
-/// representation is retained as
-/// [`crate::reference::MapReliablePlane`] for the differential suite.
+/// steady-state run allocates nothing per access.
 #[derive(Clone, Debug, Default)]
 pub struct ReliablePlane {
     queues: Vec<VecDeque<Message>>,
@@ -842,6 +807,22 @@ mod tests {
         }
     }
 
+    /// Everything deliverable on `(link, dir)`, drained through a fresh
+    /// pooled batch.
+    fn drain(p: &mut impl MessagePlane, link: usize, dir: Direction) -> Vec<Message> {
+        let mut batch = DeliveryBatch::new();
+        p.deliver_into(link, dir, &mut batch);
+        batch.as_slice().to_vec()
+    }
+
+    /// The levels crashing at the current tick, through a buffer holding
+    /// stale contents that `take_crashes_into` must clear.
+    fn crashes(p: &mut impl MessagePlane) -> Vec<usize> {
+        let mut out = vec![usize::MAX];
+        p.take_crashes_into(&mut out);
+        out
+    }
+
     #[test]
     fn reliable_plane_is_fifo_and_instant() {
         let mut p = ReliablePlane::new();
@@ -849,7 +830,7 @@ mod tests {
         p.send(0, Direction::Down, demote(1));
         p.send(0, Direction::Down, demote(2));
         assert_eq!(p.in_flight(), 2);
-        let out = p.deliver(0, Direction::Down);
+        let out = drain(&mut p, 0, Direction::Down);
         assert_eq!(out, vec![demote(1), demote(2)]);
         assert_eq!(p.in_flight(), 0);
         assert_eq!(p.accounting().sent, 2);
@@ -865,15 +846,15 @@ mod tests {
         for tick in 0..200u64 {
             r.tick();
             f.tick();
-            assert!(f.take_crashes().is_empty());
+            assert!(crashes(&mut f).is_empty());
             for m in 0..(tick % 3) {
                 r.send(0, Direction::Down, demote(m));
                 f.send(0, Direction::Down, demote(m));
             }
             assert_eq!(r.rpc(0), f.rpc(0));
             assert_eq!(
-                r.deliver(0, Direction::Down),
-                f.deliver(0, Direction::Down)
+                drain(&mut r, 0, Direction::Down),
+                drain(&mut f, 0, Direction::Down)
             );
         }
         assert_eq!(r.accounting(), f.accounting());
@@ -887,7 +868,7 @@ mod tests {
         for i in 0..50 {
             f.send(0, Direction::Down, demote(i));
         }
-        assert!(f.deliver(0, Direction::Down).is_empty());
+        assert!(drain(&mut f, 0, Direction::Down).is_empty());
         assert_eq!(f.accounting().dropped, 50);
         assert!(matches!(
             f.rpc(0),
@@ -901,7 +882,7 @@ mod tests {
         let mut f = FaultyPlane::new(FaultScenario::zero(2).with_duplicate(1.0));
         f.tick();
         f.send(0, Direction::Down, demote(7));
-        let out = f.deliver(0, Direction::Down);
+        let out = drain(&mut f, 0, Direction::Down);
         assert_eq!(out, vec![demote(7), demote(7)]);
         assert_eq!(f.accounting().duplicated, 1);
     }
@@ -913,11 +894,11 @@ mod tests {
         f.send(0, Direction::Down, demote(1));
         f.send(0, Direction::Down, demote(2));
         // Nothing is deliverable at the send tick (delay >= 1).
-        assert!(f.deliver(0, Direction::Down).is_empty());
+        assert!(drain(&mut f, 0, Direction::Down).is_empty());
         let mut got = Vec::new();
         for _ in 0..6 {
             f.tick();
-            got.extend(f.deliver(0, Direction::Down));
+            got.extend(drain(&mut f, 0, Direction::Down));
         }
         got.sort_by_key(|m| match m {
             Message::Demote { block, .. } => block.raw(),
@@ -937,13 +918,13 @@ mod tests {
         // tick -> now = 1: inside the first burst window [0, 5).
         f.tick();
         f.send(0, Direction::Down, demote(1));
-        assert!(f.deliver(0, Direction::Down).is_empty());
+        assert!(drain(&mut f, 0, Direction::Down).is_empty());
         for _ in 0..3 {
             f.tick();
-            assert!(f.deliver(0, Direction::Down).is_empty());
+            assert!(drain(&mut f, 0, Direction::Down).is_empty());
         }
         f.tick(); // now = 5: window closed
-        assert_eq!(f.deliver(0, Direction::Down), vec![demote(1)]);
+        assert_eq!(drain(&mut f, 0, Direction::Down), vec![demote(1)]);
     }
 
     #[test]
@@ -964,12 +945,12 @@ mod tests {
         let s = FaultScenario::zero(6).with_crash(3, 1).with_crash(1, 0);
         let mut f = FaultyPlane::new(s);
         f.tick();
-        assert_eq!(f.take_crashes(), vec![0]);
-        assert!(f.take_crashes().is_empty());
+        assert_eq!(crashes(&mut f), vec![0]);
+        assert!(crashes(&mut f).is_empty());
         f.tick();
-        assert!(f.take_crashes().is_empty());
+        assert!(crashes(&mut f).is_empty());
         f.tick();
-        assert_eq!(f.take_crashes(), vec![1]);
+        assert_eq!(crashes(&mut f), vec![1]);
         assert_eq!(f.accounting().crashes, 2);
     }
 
@@ -1017,7 +998,7 @@ mod tests {
             for i in 0..500 {
                 f.tick();
                 f.send(0, Direction::Down, demote(i));
-                log.push(f.deliver(0, Direction::Down).len());
+                log.push(drain(&mut f, 0, Direction::Down).len());
                 log.push(match f.rpc(0) {
                     RpcFate::Delivered => 0,
                     RpcFate::RequestLost => 1,
@@ -1040,7 +1021,7 @@ mod tests {
         f.tick();
         f.send(0, Direction::Down, demote(1));
         f.send(3, Direction::Down, demote(2));
-        assert_eq!(f.deliver(0, Direction::Down).len(), 1);
-        assert!(f.deliver(3, Direction::Down).is_empty());
+        assert_eq!(drain(&mut f, 0, Direction::Down).len(), 1);
+        assert!(drain(&mut f, 3, Direction::Down).is_empty());
     }
 }

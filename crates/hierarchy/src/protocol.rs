@@ -52,21 +52,20 @@ impl AccessOutcome {
 /// [`crate::LruMqServer`] (LRU client over an MQ server) and `ulc_core`'s
 /// ULC protocol.
 pub trait MultiLevelPolicy {
-    /// Handles one reference by `client` to `block`.
-    fn access(&mut self, client: ClientId, block: BlockId) -> AccessOutcome;
-
     /// Handles one reference by `client` to `block`, writing the result
     /// into a caller-pooled `out` instead of returning a fresh
     /// allocation. `out` is reset first (any previous contents are
     /// ignored), so one outcome can be reused across every access of a
     /// simulation — the zero-allocation steady-state driver
     /// [`crate::simulate`] relies on this.
-    ///
-    /// The default forwards to [`MultiLevelPolicy::access`]; engines with
-    /// an allocation-free path override it.
-    // lint:cold-path by-value fallback; zero-alloc engines override this and are checked via their overrides
-    fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome) {
-        *out = self.access(client, block);
+    fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome);
+
+    /// Handles one reference by `client` to `block` and returns its
+    /// outcome: [`MultiLevelPolicy::access_into`] over a fresh outcome.
+    fn access(&mut self, client: ClientId, block: BlockId) -> AccessOutcome {
+        let mut out = AccessOutcome::default();
+        self.access_into(client, block, &mut out);
+        out
     }
 
     /// Hints that `client` will reference `block` a few accesses from

@@ -55,7 +55,7 @@ pub struct FaultSummary {
     /// Single-residency violations repaired by evicting the redundant
     /// copy.
     pub residency_violations_repaired: u64,
-    /// Plane `deliver` calls that handed back at least one message.
+    /// Plane `deliver_into` calls that handed back at least one message.
     /// Representation-independent: every queue implementation (dense
     /// array, ordered map) counts it the same way, so it witnesses that
     /// queue-internal allocation reuse changed no delivery behaviour.

@@ -34,12 +34,12 @@ use crate::stats::FaultSummary;
 use crate::{AccessOutcome, MultiLevelPolicy};
 use ulc_cache::{LruCache, NodeHandle};
 use ulc_obs::{Observe, ObsHandle};
-use ulc_trace::{BlockId, BlockMap, ClientId, TableMode};
+use ulc_trace::{BlockId, BlockMap, ClientId};
 
 /// One cache level: an LRU whose nodes are found through a block table
-/// in the engine's [`TableMode`] (DESIGN.md §5e).
-fn new_level(capacity: usize, mode: TableMode) -> LruCache<BlockId, BlockMap<NodeHandle>> {
-    LruCache::with_locator(capacity, BlockMap::new(mode))
+/// (DESIGN.md §5e).
+fn new_level(capacity: usize) -> LruCache<BlockId, BlockMap<NodeHandle>> {
+    LruCache::with_locator(capacity, BlockMap::new())
 }
 
 /// Server insertion policy for demoted blocks.
@@ -74,9 +74,6 @@ pub struct UniLru<P: MessagePlane = ReliablePlane> {
     clients: Vec<LruCache<BlockId, BlockMap<NodeHandle>>>,
     shared: Vec<LruCache<BlockId, BlockMap<NodeHandle>>>,
     variant: UniLruVariant,
-    /// Block-table representation of every level and of `demoted_by`;
-    /// a crashed level restarts cold in the same mode.
-    table_mode: TableMode,
     /// Which client last demoted each block resident in `shared[0]`
     /// (adaptive bookkeeping).
     demoted_by: BlockMap<u32>,
@@ -123,45 +120,16 @@ impl UniLru {
         shared_capacities: Vec<usize>,
         variant: UniLruVariant,
     ) -> Self {
-        UniLru::multi_client_with_mode(
-            client_capacities,
-            shared_capacities,
-            variant,
-            TableMode::Dense,
-        )
-    }
-
-    /// [`UniLru::multi_client`] with an explicit block-table
-    /// representation: `TableMode::Dense` (the default interned flat
-    /// tables) or `TableMode::Hashed` (the retained map-backed reference
-    /// path used by the differential suite and throughput baselines).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client_capacities` is empty or any capacity is zero.
-    pub fn multi_client_with_mode(
-        client_capacities: Vec<usize>,
-        shared_capacities: Vec<usize>,
-        variant: UniLruVariant,
-        mode: TableMode,
-    ) -> Self {
         assert!(
             !client_capacities.is_empty(),
             "at least one client is required"
         );
         let n = client_capacities.len();
         UniLru {
-            clients: client_capacities
-                .into_iter()
-                .map(|c| new_level(c, mode))
-                .collect(),
-            shared: shared_capacities
-                .into_iter()
-                .map(|c| new_level(c, mode))
-                .collect(),
+            clients: client_capacities.into_iter().map(new_level).collect(),
+            shared: shared_capacities.into_iter().map(new_level).collect(),
             variant,
-            table_mode: mode,
-            demoted_by: BlockMap::new(mode),
+            demoted_by: BlockMap::new(),
             adaptive: vec![
                 AdaptiveState {
                     mru_mode: true,
@@ -189,7 +157,6 @@ impl<P: MessagePlane> UniLru<P> {
             clients: self.clients,
             shared: self.shared,
             variant: self.variant,
-            table_mode: self.table_mode,
             demoted_by: self.demoted_by,
             adaptive: self.adaptive,
             epoch_len: self.epoch_len,
@@ -406,12 +373,12 @@ impl<P: MessagePlane> UniLru<P> {
         for &level in &crashes {
             if level == 0 {
                 for cl in &mut self.clients {
-                    *cl = new_level(cl.capacity(), self.table_mode);
+                    *cl = new_level(cl.capacity());
                 }
                 // In-flight demotes already left the clients; they survive.
             } else if level - 1 < self.shared.len() {
                 let s = level - 1;
-                self.shared[s] = new_level(self.shared[s].capacity(), self.table_mode);
+                self.shared[s] = new_level(self.shared[s].capacity());
                 if s == 0 {
                     self.demoted_by.clear();
                 }
@@ -499,13 +466,6 @@ impl<P: MessagePlane> UniLru<P> {
 }
 
 impl<P: MessagePlane> MultiLevelPolicy for UniLru<P> {
-    fn access(&mut self, client: ClientId, block: BlockId) -> AccessOutcome {
-        // allocation-free path is access_into.
-        let mut out = AccessOutcome::miss(self.num_levels() - 1);
-        self.access_into(client, block, &mut out);
-        out
-    }
-
     fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome) {
         let boundaries = self.num_levels() - 1;
         let c = client.as_usize();

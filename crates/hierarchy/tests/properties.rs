@@ -168,8 +168,8 @@ proptest! {
             let block = BlockId::new(b);
             let m = mq.access(client, block);
             let i = ind.access(client, block);
-            prop_assert!(m.hit_level.map_or(true, |l| l < 2));
-            prop_assert!(i.hit_level.map_or(true, |l| l < 2));
+            prop_assert!(m.hit_level.is_none_or(|l| l < 2));
+            prop_assert!(i.hit_level.is_none_or(|l| l < 2));
         }
     }
 }

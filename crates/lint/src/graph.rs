@@ -343,10 +343,13 @@ impl CallGraph {
     }
 }
 
+/// A marker comment's `(start line, end line)` anchor.
+type MarkerSpan = (usize, usize);
+
 /// `(hot-root lines, cold-path lines)` marker anchors in a file: a marker
 /// on line `l` governs a `fn` starting on `l` (trailing style) or within
 /// the three lines below (banner style, allowing attributes between).
-fn marker_lines(f: &FileUnit) -> (Vec<(usize, usize)>, Vec<(usize, usize)>) {
+fn marker_lines(f: &FileUnit) -> (Vec<MarkerSpan>, Vec<MarkerSpan>) {
     let mut hot = Vec::new();
     let mut cold = Vec::new();
     for c in &f.lexed.comments {

@@ -284,14 +284,14 @@ pub fn analyze_file(unit: &FileUnit) -> FileAnalysis {
     marker_syntax_rule(unit, &mut diags);
 
     if matches!(unit.kind, FileKind::Library | FileKind::Binary) {
-        determinism_rule(path, &file, &in_test, &mut diags);
+        determinism_rule(path, file, &in_test, &mut diags);
     }
-    unsafe_rule(path, &file, &mut diags);
+    unsafe_rule(path, file, &mut diags);
     if unit.kind == FileKind::Library {
-        panic_rule(path, &file, &in_test, &mut diags);
-        docs_rule(path, &file, &in_test, &mut diags);
+        panic_rule(path, file, &in_test, &mut diags);
+        docs_rule(path, file, &in_test, &mut diags);
         if is_hot_path(path) {
-            hot_path_map_rule(path, &file, &in_test, &mut diags);
+            hot_path_map_rule(path, file, &in_test, &mut diags);
         }
     }
     FileAnalysis { diags, allows }
@@ -898,7 +898,7 @@ fn annotate_reachable_panics(
     units: &[FileUnit],
     graph: &CallGraph,
     reach: &Reachability,
-    diags: &mut Vec<Diagnostic>,
+    diags: &mut [Diagnostic],
 ) {
     let unit_of: BTreeMap<&str, usize> = units
         .iter()

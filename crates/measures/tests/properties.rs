@@ -13,7 +13,7 @@ fn trace_with_min_blocks(
 ) -> impl Strategy<Value = Trace> {
     extra.prop_map(move |tail| {
         let blocks = (0..segments)
-            .chain(tail.into_iter())
+            .chain(tail)
             .map(BlockId::new)
             .collect::<Vec<_>>();
         Trace::from_blocks(blocks)

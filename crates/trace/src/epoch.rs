@@ -40,7 +40,7 @@
 //! assert!(!plan.is_exclusive(2));
 //! ```
 
-use crate::{BlockId, BlockMap, TableMode, Trace};
+use crate::{BlockId, BlockMap, Trace};
 
 /// Epoch length the sharded executor uses by default: long enough that
 /// the two barrier crossings per epoch vanish against the per-reference
@@ -70,7 +70,7 @@ impl ReplayPlan {
     /// assigns each block its referencing client or the shared sentinel,
     /// the second projects that verdict onto the records.
     pub fn build(trace: &Trace) -> Self {
-        let mut owner: BlockMap<u32> = BlockMap::new(TableMode::Dense);
+        let mut owner: BlockMap<u32> = BlockMap::new();
         for r in trace.iter() {
             let c = r.client.index();
             match owner.get_mut(r.block) {

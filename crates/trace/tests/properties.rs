@@ -3,15 +3,14 @@
 //! locator of `ulc_cache`'s LRUs.
 
 use proptest::prelude::*;
+use std::collections::HashMap;
 use ulc_cache::{CacheEvent, LruCache, LruStack, NodeHandle, NodeLocator};
 use ulc_trace::multi::interleave;
 use ulc_trace::patterns::{
     FileSetPattern, LoopingPattern, Pattern, SequentialPattern, TemporalPattern, UniformPattern,
     WorkingSetDriftPattern, ZipfPattern,
 };
-use ulc_trace::{
-    BlockId, BlockInterner, BlockMap, TableMode, Trace, TraceStats, Zipf, DIRECT_LIMIT,
-};
+use ulc_trace::{BlockId, BlockInterner, BlockMap, Trace, TraceStats, Zipf, DIRECT_LIMIT};
 
 /// What one LRU operation returned.
 #[derive(Debug, PartialEq)]
@@ -287,9 +286,8 @@ proptest! {
         prop_assert_eq!(incremental.len(), oneshot.len());
     }
 
-    /// `LruStack`/`LruCache` behave identically under all three node
-    /// locators — the default Fx map and `BlockMap` in both modes — and
-    /// match a vector model, for block ids on both sides of
+    /// `LruStack`/`LruCache` behave identically under both node locators
+    /// — the default Fx map and `BlockMap` — and match a vector model, for block ids on both sides of
     /// `DIRECT_LIMIT`: small direct-indexed ids and file-set ids
     /// `(f << 32) | o` that take the dense map's sparse fallback.
     #[test]
@@ -298,8 +296,7 @@ proptest! {
         ops in proptest::collection::vec((0u8..8, 0u64..24, any::<bool>()), 0..300),
     ) {
         let mut fx = Lrus::new(capacity, fxhash::FxHashMap::<BlockId, NodeHandle>::default);
-        let mut dense = Lrus::new(capacity, || BlockMap::<NodeHandle>::new(TableMode::Dense));
-        let mut hashed = Lrus::new(capacity, || BlockMap::<NodeHandle>::new(TableMode::Hashed));
+        let mut dense = Lrus::new(capacity, BlockMap::<NodeHandle>::new);
         let mut model = LruModel { stack: Vec::new(), cache: Vec::new(), capacity };
         for &(op, k, file_set) in &ops {
             let raw = if file_set { ((k % 4 + 1) << 32) | (k / 4) } else { k };
@@ -308,42 +305,62 @@ proptest! {
             let want = model.apply(op, b);
             prop_assert_eq!(fx.apply(op, b), want);
             prop_assert_eq!(dense.apply(op, b), want);
-            prop_assert_eq!(hashed.apply(op, b), want);
             let state = model.state();
             prop_assert_eq!(fx.state(), state);
             prop_assert_eq!(dense.state(), state);
-            prop_assert_eq!(hashed.state(), state);
         }
     }
 
-    /// Dense and hashed `BlockMap`s stay observationally equal under an
-    /// arbitrary insert/remove/clear script.
+    /// A `BlockMap` stays observationally equal to a std `HashMap` model
+    /// under an arbitrary insert/remove/get/get_mut/clear script, with
+    /// reuse after every clear, for ids on both sides of `DIRECT_LIMIT`:
+    /// small direct-indexed ids, ids just past the limit and file-set ids
+    /// `(f << 32) | o`, the last two in the sparse tier. After every step
+    /// `len`, `is_empty` and the sorted `iter()` match the model.
     #[test]
-    fn block_map_modes_agree_under_arbitrary_scripts(
-        ops in proptest::collection::vec((0u8..4, 0u64..60), 0..300),
+    fn block_map_matches_a_hash_map_model_under_arbitrary_scripts(
+        ops in proptest::collection::vec((0u8..32, 0u8..3, 0u64..60), 0..300),
     ) {
-        let mut dense: BlockMap<u64> = BlockMap::new(TableMode::Dense);
-        let mut hashed: BlockMap<u64> = BlockMap::new(TableMode::Hashed);
-        for (i, &(op, raw)) in ops.iter().enumerate() {
+        let mut map: BlockMap<u64> = BlockMap::new();
+        let mut model: HashMap<BlockId, u64> = HashMap::new();
+        for (i, &(op, tier, k)) in ops.iter().enumerate() {
+            let raw = match tier {
+                0 => k,
+                1 => DIRECT_LIMIT + k,
+                _ => ((k % 4 + 1) << 32) | (k / 4),
+            };
+            prop_assert_eq!(raw >= DIRECT_LIMIT, tier != 0);
             let b = BlockId::new(raw);
             match op {
-                0 | 1 => {
-                    prop_assert_eq!(dense.insert(b, i as u64), hashed.insert(b, i as u64));
+                0..=11 => prop_assert_eq!(map.insert(b, i as u64), model.insert(b, i as u64)),
+                12..=19 => prop_assert_eq!(map.remove(b), model.remove(&b)),
+                20..=25 => {
+                    prop_assert_eq!(map.get(b), model.get(&b));
+                    prop_assert_eq!(map.contains_key(b), model.contains_key(&b));
                 }
-                2 => {
-                    prop_assert_eq!(dense.remove(b), hashed.remove(b));
+                26..=30 => {
+                    let got = map.get_mut(b).map(|v| {
+                        *v += 1_000;
+                        *v
+                    });
+                    let want = model.get_mut(&b).map(|v| {
+                        *v += 1_000;
+                        *v
+                    });
+                    prop_assert_eq!(got, want);
                 }
                 _ => {
-                    prop_assert_eq!(dense.get(b), hashed.get(b));
-                    prop_assert_eq!(dense.contains_key(b), hashed.contains_key(b));
+                    map.clear();
+                    model.clear();
                 }
             }
-            prop_assert_eq!(dense.len(), hashed.len());
+            prop_assert_eq!(map.len(), model.len(), "len after step {}", i);
+            prop_assert_eq!(map.is_empty(), model.is_empty());
+            let mut got: Vec<(BlockId, u64)> = map.iter().map(|(b, &v)| (b, v)).collect();
+            let mut want: Vec<(BlockId, u64)> = model.iter().map(|(&b, &v)| (b, v)).collect();
+            got.sort_unstable();
+            want.sort_unstable();
+            prop_assert_eq!(got, want, "entries after step {}", i);
         }
-        let mut d: Vec<(BlockId, u64)> = dense.iter().map(|(b, &v)| (b, v)).collect();
-        let mut h: Vec<(BlockId, u64)> = hashed.iter().map(|(b, &v)| (b, v)).collect();
-        d.sort_unstable();
-        h.sort_unstable();
-        prop_assert_eq!(d, h);
     }
 }

@@ -6,8 +6,16 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
-cargo clippy --all-targets -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 cargo test --features debug_invariants -q
+
+# Golden SimStats grid (crates/core/tests/golden/sim_stats.txt): every
+# engine × configuration × smoke workload, including the crashy
+# FaultyPlane legs, replayed through simulate, the by-value access wrapper
+# and a dirty pooled access_into driver, must print exactly the committed
+# lines. Built with debug_invariants so all 59 cells also run under the
+# tick-sampled structural checks (about 25 s).
+cargo test -q -p ulc-core --features debug_invariants --test golden_stats
 
 # Published-figure drift gate: the committed Figure 6/7 tables must be
 # exactly what the engines print today at --scale=default (about 35 s of
@@ -61,10 +69,10 @@ cargo test -q -p ulc-core --test chaos --features debug_invariants seeded_chaos_
 # replay_range splits, plus a 24-case shard-count-invariance property.
 cargo test -q -p ulc-core --test parallel_replay
 
-# Throughput + allocation gates (ISSUES 4 and 6): the differential suites
-# above prove the interned flat tables and the pooled scratch paths
-# bit-identical; this proves they stay fast and allocation-free. The
-# smoke-scale harness rewrites BENCH_sim.json and fails if any interned
+# Throughput + allocation gates (DESIGN.md §5e, §5f): the golden SimStats grid
+# above pins what the dense block tables and the pooled access paths
+# compute; this proves they stay fast and allocation-free. The
+# smoke-scale harness rewrites BENCH_sim.json and fails if any
 # accesses/sec rate drops more than 25% below the conservative checked-in
 # baseline (BENCH_baseline.json, recorded well under a healthy machine's
 # measurement so scheduler noise cannot trip the gate), or if a wide
