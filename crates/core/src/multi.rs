@@ -102,6 +102,11 @@ impl GlobalLru {
         self.slots.get(block).map(|slot| slot.owner)
     }
 
+    /// `block`'s row — its gLRU node and owner — if the server holds it.
+    fn slot(&self, block: BlockId) -> Option<ServerSlot> {
+        self.slots.get(block).copied()
+    }
+
     /// A client requests `block` be cached here; the block moves to the
     /// top of `gLRU` and the requester becomes its owner.
     ///
@@ -149,12 +154,11 @@ impl GlobalLru {
         }
     }
 
-    /// Refreshes `block`'s gLRU position without changing its owner
-    /// (a non-owner is using the shared copy).
-    fn refresh(&mut self, block: BlockId) {
-        if let Some(slot) = self.slots.get(block) {
-            self.order.move_to_front(slot.node);
-        }
+    /// Refreshes a block's gLRU position, given the `node` its slot
+    /// holds, without changing its owner (a non-owner is using the shared
+    /// copy).
+    fn refresh(&mut self, node: NodeHandle) {
+        self.order.move_to_front(node);
     }
 }
 
@@ -481,9 +485,7 @@ impl<P: MessagePlane> UlcMulti<P> {
     fn apply_replacement(client: &mut ClientState, victim: BlockId) {
         // Only the client's *server-level* metadata is affected; a block
         // it holds privately is untouched.
-        if client.stack.cached_level(victim) == Some(1) {
-            client.stack.evict_cached(victim);
-        }
+        client.stack.evict_cached(victim, 1);
     }
 
     /// Applies one client directive the server's inbox delivered: a
@@ -507,25 +509,35 @@ impl<P: MessagePlane> UlcMulti<P> {
     }
 
     /// Drains every client's directive queue into the server.
+    fn drain_server_inbox(&mut self) {
+        for link in 0..self.clients.len() {
+            self.drain_link(link);
+        }
+    }
+
+    /// Applies every directive deliverable on client `link`'s `Down`
+    /// queue. An empty queue is skipped without a plane call: an empty
+    /// delivery bumps no counter on any plane.
     ///
     /// The delivery batch is pooled on the protocol and taken out for the
     /// duration of the drain (applying a directive needs `&mut self`), so
     /// the steady-state drain recycles one buffer across all accesses.
-    fn drain_server_inbox(&mut self) {
+    fn drain_link(&mut self, link: usize) {
+        if self.plane.queued_len(link, Direction::Down) == 0 {
+            return;
+        }
         let mut inbox = std::mem::take(&mut self.inbox);
-        for link in 0..self.clients.len() {
-            self.plane.deliver_into(link, Direction::Down, &mut inbox);
-            for &msg in &inbox {
-                match msg {
-                    Message::CacheRequest { block, requester } => {
-                        self.apply_directive(block, requester);
-                    }
-                    Message::Demote { block, owner, .. } => {
-                        self.apply_directive(block, owner);
-                    }
-                    // ULC's down links carry only directives.
-                    _ => {}
+        self.plane.deliver_into(link, Direction::Down, &mut inbox);
+        for &msg in &inbox {
+            match msg {
+                Message::CacheRequest { block, requester } => {
+                    self.apply_directive(block, requester);
                 }
+                Message::Demote { block, owner, .. } => {
+                    self.apply_directive(block, owner);
+                }
+                // ULC's down links carry only directives.
+                _ => {}
             }
         }
         self.inbox = inbox;
@@ -533,8 +545,12 @@ impl<P: MessagePlane> UlcMulti<P> {
 
     /// Delivers the eviction notices riding client `c`'s response.
     /// A notice is stale — and skipped — if the client has meanwhile
-    /// re-claimed the block (it owns it again).
+    /// re-claimed the block (it owns it again). An empty `Up` queue is
+    /// skipped without a plane call, like an empty directive queue.
     pub(crate) fn deliver_notices(&mut self, c: usize) {
+        if self.plane.queued_len(c, Direction::Up) == 0 {
+            return;
+        }
         let mut notices = std::mem::take(&mut self.notices);
         self.plane.deliver_into(c, Direction::Up, &mut notices);
         for &msg in &notices {
@@ -600,7 +616,7 @@ impl<P: MessagePlane> UlcMulti<P> {
     fn nack_sweep(&mut self, c: usize) {
         for b in self.clients[c].stack.level_blocks(1) {
             if !self.server.contains(b) {
-                self.clients[c].stack.evict_cached(b);
+                self.clients[c].stack.evict_cached(b, 1);
                 self.recovery.stale_status_hits += 1;
             }
         }
@@ -695,19 +711,24 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
         //    although another client took ownership and it was replaced.
         //    Only an authoritative response can tell it so (a NACK); on a
         //    lossy plane the NACK triggers a full status-table re-sync.
-        let in_server_actual = self.server.contains(block);
+        //    One read of each table row serves the rest of the access.
+        //    The re-sync runs only when the server lacks `block`, so the
+        //    slot read stays exact through step 5; it evicts only level-1
+        //    beliefs, so a level-0 belief still holds at step 3.
+        let server_slot = self.server.slot(block);
+        let in_server_actual = server_slot.is_some();
         let believed = self.clients[c].stack.cached_level(block);
         if believed == Some(1) && !in_server_actual && fate == RpcFate::Delivered {
             if self.plane.lossy() {
                 self.reconcile_client(c);
             } else {
-                self.clients[c].stack.evict_cached(block);
+                self.clients[c].stack.evict_cached(block, 1);
             }
         }
 
         // 3. The actual retrieval source: a private hit needs no network;
         //    a server hit needs the reply to arrive.
-        let hit_level = if self.clients[c].stack.cached_level(block) == Some(0) {
+        let hit_level = if believed == Some(0) {
             Some(0)
         } else if in_server_actual && fate == RpcFate::Delivered {
             Some(1)
@@ -758,10 +779,10 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
                 // server copy is kept and refreshed for its owner. A lost
                 // request never reached the server, so it serves nothing
                 // and removes nothing.
-                if in_server_actual && fate != RpcFate::RequestLost => {
-                    match self.server.owner_of(block) {
-                        Some(o) if o == c as u32 => self.server.remove(block),
-                        Some(_) => self.server.refresh(block),
+                if fate != RpcFate::RequestLost => {
+                    match server_slot {
+                        Some(slot) if slot.owner == c as u32 => self.server.remove(block),
+                        Some(slot) => self.server.refresh(slot.node),
                         None => {}
                     }
                 }
@@ -794,7 +815,10 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
             }
         }
         // On the reliable plane the directives land right now, in order.
-        self.drain_server_inbox();
+        // Only this client's link can hold anything due: the leading drain
+        // at this same tick emptied every link of its due traffic, and
+        // this access sent `Down` traffic on its own link alone.
+        self.drain_link(c);
 
         #[cfg(feature = "debug_invariants")]
         self.debug_validate();
@@ -1051,6 +1075,47 @@ mod tests {
         let sr = simulate(&mut reliable, &t, t.warmup_len());
         let sf = simulate(&mut faulty, &t, t.warmup_len());
         assert_eq!(sr, sf);
+    }
+
+    #[test]
+    fn one_tick_delay_lands_directives_and_notices_at_the_next_exchange() {
+        // Every message is due exactly one tick after it is sent, so it
+        // is never deliverable within the access that sent it: it must
+        // be picked up by a later access's leading drain (directives, on
+        // any client's access) or by the owner's next reply (notices).
+        let scenario = FaultScenario::zero(3).with_delay(1.0, 1);
+        let mut p = UlcMulti::new(UlcMultiConfig::uniform(2, 1, 1))
+            .with_plane(FaultyPlane::new(scenario));
+        let (c0, c1) = (ClientId::new(0), ClientId::new(1));
+        p.access(c0, b(0)); // client 0's private cache
+        p.access(c0, b(1)); // directs the server: Retrieve(b1, ·, 2)
+        assert!(!p.server.contains(b(1)), "the directive is still in flight");
+        assert_eq!(p.plane().queued_len(0, Direction::Down), 1);
+
+        // Client 1's next access drains client 0's due directive first.
+        p.access(c1, b(10));
+        assert_eq!(p.server.owner_of(b(1)), Some(0));
+        assert_eq!(p.plane().queued_len(0, Direction::Down), 0);
+
+        // Client 1 claims the full server; its directive lands one access
+        // later and replaces b1, whose notice is queued for client 0.
+        p.access(c1, b(11));
+        p.access(c1, b(12));
+        assert_eq!(p.server_allocation(), vec![0, 1]);
+        assert_eq!(p.plane().queued_len(0, Direction::Up), 1);
+        // Due now, but only client 0's own reply carries it.
+        p.access(c1, b(13));
+        assert_eq!(p.plane().queued_len(0, Direction::Up), 1);
+        assert_eq!(p.clients[0].stack.cached_level(b(1)), Some(1));
+
+        let batches = p.plane().accounting().delivery_batches;
+        p.access(c0, b(0));
+        assert_eq!(p.plane().queued_len(0, Direction::Up), 0);
+        assert_eq!(p.clients[0].stack.cached_level(b(1)), None);
+        assert_eq!(p.plane().accounting().delivery_batches, batches + 1);
+        p.settle();
+        p.reconcile();
+        p.check_invariants();
     }
 
     #[test]

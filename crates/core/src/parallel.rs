@@ -58,7 +58,7 @@ use crate::UlcMulti;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
-use ulc_hierarchy::plane::{Direction, MessagePlane};
+use ulc_hierarchy::plane::MessagePlane;
 use ulc_hierarchy::{simulate, AccessOutcome, MultiLevelPolicy, SimStats, PREFETCH_DISTANCE};
 use ulc_obs::{Observe, ObsHandle};
 use ulc_trace::epoch::{EpochRuns, ReplayPlan, RunRef, DEFAULT_EPOCH_LEN};
@@ -177,8 +177,7 @@ fn commit_epoch<P: MessagePlane>(
             // residue: eviction notices ride the response of the
             // client's next exchange, so any queued for this client
             // land here, at exactly the position the serial driver
-            // would deliver them. (An empty delivery bumps no
-            // accounting on any plane, so it is skipped outright.)
+            // would deliver them.
             seen[c] += 1;
             // Keep the policy recorder's tick (and timeline window)
             // aligned with the serial axis even though this access was
@@ -187,9 +186,7 @@ fn commit_epoch<P: MessagePlane>(
             // folding) must land in the same window as under the
             // serial driver.
             policy.obs_mut().set_tick(idx as u64 + 1);
-            if policy.plane().queued_len(c, Direction::Up) > 0 {
-                policy.deliver_notices(c);
-            }
+            policy.deliver_notices(c);
             if idx >= warmup {
                 stats.record(hit_out);
             }

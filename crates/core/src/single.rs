@@ -1,10 +1,11 @@
 //! The single-client ULC protocol (§3.2.1).
 //!
 //! [`UlcSingle`] wraps the [`UniLruStack`] decision engine in the
-//! [`MultiLevelPolicy`] interface, adds the client's `tempLRU` (the small
-//! stack that briefly holds blocks passing through the client on their way
-//! to the application when their caching level is below `L₁`), and counts
-//! the protocol messages (`Retrieve`, `Demote`) that §3.2 defines.
+//! [`MultiLevelPolicy`] interface, adds the client's `tempLRU` when the
+//! ablation counts its hits (the small stack that briefly holds blocks
+//! passing through the client on their way to the application when their
+//! caching level is below `L₁`), and counts the protocol messages
+//! (`Retrieve`, `Demote`) that §3.2 defines.
 
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
@@ -21,11 +22,13 @@ pub struct UlcConfig {
     /// Bound on `uniLRUstack` metadata entries (`None` = bounded only by
     /// the last yardstick, §3.2).
     pub stack_limit: Option<usize>,
-    /// Capacity of the client's `tempLRU` for pass-through blocks.
+    /// Capacity of the client's `tempLRU` for pass-through blocks (used
+    /// only when `count_temp_lru_hits` is set).
     pub temp_lru_capacity: usize,
     /// Count a reference that finds its block still sitting in `tempLRU`
     /// as a client-memory hit. The paper treats such blocks as immediately
-    /// replaced (`false`); enabling this is an ablation extension.
+    /// replaced (`false`); enabling this is an ablation extension, and the
+    /// only configuration that builds a `tempLRU` at all.
     pub count_temp_lru_hits: bool,
 }
 
@@ -85,7 +88,9 @@ impl MessageStats {
 #[derive(Debug)]
 pub struct UlcSingle {
     stack: UniLruStack,
-    temp_lru: LruStack<BlockId>,
+    /// The pass-through stack, present only when `count_temp_lru_hits`
+    /// reads it: the paper's blocks leave it unread (§3.2, footnote 3).
+    temp_lru: Option<LruStack<BlockId>>,
     config: UlcConfig,
     messages: MessageStats,
     /// Reusable per-access buffers; once their high-water marks settle the
@@ -108,7 +113,7 @@ impl UlcSingle {
         let levels = config.capacities.len();
         UlcSingle {
             stack,
-            temp_lru: LruStack::new(),
+            temp_lru: config.count_temp_lru_hits.then(LruStack::new),
             config,
             messages: MessageStats::new(levels),
             scratch: AccessScratch::new(),
@@ -158,15 +163,18 @@ impl UlcSingle {
     }
 
     fn note_temp_lru(&mut self, block: BlockId, placed: Placement) {
+        let Some(temp_lru) = self.temp_lru.as_mut() else {
+            return;
+        };
         // A block not cached at the client passes through tempLRU so it
         // can be replaced from client memory quickly (§3.2, footnote 3).
         if placed != Placement::Level(0) {
-            self.temp_lru.touch(block);
-            while self.temp_lru.len() > self.config.temp_lru_capacity {
-                self.temp_lru.pop_bottom();
+            temp_lru.touch(block);
+            while temp_lru.len() > self.config.temp_lru_capacity {
+                temp_lru.pop_bottom();
             }
         } else {
-            self.temp_lru.remove(&block);
+            temp_lru.remove(&block);
         }
     }
 }
@@ -180,9 +188,9 @@ impl MultiLevelPolicy for UlcSingle {
         );
         out.reset(self.stack.num_levels() - 1);
         self.obs.begin_access();
-        if self.config.count_temp_lru_hits && self.temp_lru.contains(&block) {
+        if let Some(temp_lru) = self.temp_lru.as_mut().filter(|t| t.contains(&block)) {
             // Ablation mode: the block is still in client memory.
-            self.temp_lru.touch(block);
+            temp_lru.touch(block);
             // The stack still observes the reference for its history.
             let res = self.stack.access_into(block, &mut self.scratch);
             out.hit_level = Some(0);
@@ -329,9 +337,11 @@ mod tests {
         let t = synthetic::random_small(5_000);
         let mut config = UlcConfig::new(vec![50, 50]);
         config.temp_lru_capacity = 8;
+        config.count_temp_lru_hits = true;
         let mut ulc = UlcSingle::new(config);
         let _ = simulate(&mut ulc, &t, 0);
-        assert!(ulc.temp_lru.len() <= 8);
+        let temp_lru = ulc.temp_lru.as_ref().expect("the ablation builds a tempLRU");
+        assert!(!temp_lru.is_empty() && temp_lru.len() <= 8);
     }
 
     #[test]

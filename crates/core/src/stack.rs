@@ -522,27 +522,27 @@ impl UniLruStack {
         outcome
     }
 
-    /// Externally evicts `block` from its cache level (server replacement
-    /// notification in the multi-client protocol, §3.2.2): the entry
-    /// becomes history and the yardstick adjusts — the client's share of
-    /// that level shrinks by one.
+    /// Externally evicts `block` from cache level `level` (server
+    /// replacement notification in the multi-client protocol, §3.2.2): the
+    /// entry becomes history and the yardstick adjusts — the client's
+    /// share of that level shrinks by one. One locator probe decides and
+    /// performs the eviction.
     ///
-    /// Returns `false` if the block was not cached.
-    pub fn evict_cached(&mut self, block: BlockId) -> bool {
+    /// Returns `false`, changing nothing, if the block is not cached at
+    /// `level` (unknown, history, or held at another level).
+    pub fn evict_cached(&mut self, block: BlockId, level: usize) -> bool {
         let Some(&h) = self.map.get(block) else {
             return false;
         };
-        let level = self.entry(h).level;
-        if level == OUT {
+        if self.entry(h).level as usize != level {
             return false;
         }
-        let i = level as usize;
-        if self.yardsticks[i] == Some(h) {
-            self.adjust_yardstick_up(i, h, false);
+        if self.yardsticks[level] == Some(h) {
+            self.adjust_yardstick_up(level, h, false);
         }
-        self.counts[i] -= 1;
-        if self.counts[i] == 0 {
-            self.yardsticks[i] = None;
+        self.counts[level] -= 1;
+        if self.counts[level] == 0 {
+            self.yardsticks[level] = None;
         }
         self.list.get_mut(h).expect("handle is live").level = OUT;
         self.trim();
@@ -750,11 +750,13 @@ mod tests {
         for i in 0..4 {
             s.access(b(i));
         }
-        assert!(s.evict_cached(b(2)));
+        assert!(!s.evict_cached(b(2), 0), "held at another level");
+        assert_eq!(s.cached_level(b(2)), Some(1));
+        assert!(s.evict_cached(b(2), 1));
         assert_eq!(s.cached_level(b(2)), None);
         assert_eq!(s.level_len(1), 1);
-        assert!(!s.evict_cached(b(2)), "already history");
-        assert!(!s.evict_cached(b(99)), "unknown block");
+        assert!(!s.evict_cached(b(2), 1), "already history");
+        assert!(!s.evict_cached(b(99), 1), "unknown block");
         s.check_invariants();
     }
 

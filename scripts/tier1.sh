@@ -32,6 +32,15 @@ for fig in fig6 fig7; do
   fi
 done
 
+# The same drift gate for the ablation studies (about 8 s): tempLRU-hit
+# counting (A), metadata budget (B) and the multi-client claim rule (C)
+# must print exactly results/ablation_default.txt.
+if ! cargo run -q --release -p ulc-bench --bin ablation -- --scale=default |
+  diff -u results/ablation_default.txt -; then
+  echo "tier1: ablation output drifted from results/ablation_default.txt" >&2
+  exit 1
+fi
+
 # Lint gates (ISSUES 5 and 7). The linter's own suite first (parser,
 # call graph, fixtures, CLI), then the workspace pass as a *diff gate*:
 # it fails only on findings whose fingerprint is not in the committed
