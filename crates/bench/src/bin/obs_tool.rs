@@ -2,7 +2,7 @@
 //!
 //! Usage:
 //!   `obs-tool export [--scale=smoke|default|full] [--refs=<n>]
-//!                    [--window=<ticks>] [--out=<path>] [--chrome=<path>]`
+//!                    [--window=<ticks>] [--out=<path>]`
 //!   `obs-tool chrome [--in=<path>] [--out=<path>]`
 //!   `obs-tool report [--in=<path>]`
 //!   `obs-tool verify [--in=<path>]`
@@ -10,14 +10,14 @@
 //! `export` runs every protocol with a live recorder and windowed
 //! timeline attached (requires a build with the `obs` feature — exits 2
 //! otherwise), validates the dump with [`ulc_bench::flight::verify_export`]
-//! and writes the versioned JSON; `--chrome=` additionally writes a
-//! `chrome://tracing` / Perfetto trace. The other three subcommands work
-//! on an existing export file and need no live recorders: `chrome`
-//! converts, `report` prints the derived analyses (hit-rate-vs-time,
-//! warm-up crossover, demotion burstiness, span-cost percentiles), and
-//! `verify` re-parses the file, re-reconciles every window sum against
-//! the final registries and recomputes the derived report, exiting 1 on
-//! any mismatch — the round-trip gate `scripts/tier1.sh` runs.
+//! and writes the versioned JSON. The other three subcommands work on
+//! an existing export file and need no live recorders: `chrome`
+//! converts it to a `chrome://tracing` / Perfetto trace, `report`
+//! prints the derived analyses (hit-rate-vs-time, warm-up crossover,
+//! demotion burstiness, span-cost percentiles), and `verify` re-parses
+//! the file, re-reconciles every window sum against the final registries
+//! and recomputes the derived report, exiting 1 on any mismatch — the
+//! round-trip gate `scripts/tier1.sh` runs.
 
 use ulc_bench::flight::{self, FlightExport};
 use ulc_bench::Scale;
@@ -82,9 +82,6 @@ fn cmd_export() {
     let ok = report_verification(&export);
     let out = arg_value("--out=").unwrap_or_else(|| "FLIGHT_obs.json".to_string());
     write_text(&out, &serde_json::to_string_pretty(&export).expect("export serialises"));
-    if let Some(chrome) = arg_value("--chrome=") {
-        write_text(&chrome, &flight::chrome_trace(&export));
-    }
     if !ok {
         std::process::exit(1);
     }
@@ -117,7 +114,7 @@ fn main() {
         "verify" => cmd_verify(),
         other => {
             eprintln!(
-                "usage: obs-tool <export|chrome|report|verify> [--scale=|--refs=|--window=|--in=|--out=|--chrome=]\n\
+                "usage: obs-tool <export|chrome|report|verify> [--scale=|--refs=|--window=|--in=|--out=]\n\
                  unknown subcommand {other:?}"
             );
             std::process::exit(2);

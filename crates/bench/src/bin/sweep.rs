@@ -3,16 +3,7 @@
 //!
 //! Usage: `sweep [--scale=smoke|default|full] [--json=<path>]
 //! [--faults=<scenario>] [--bench-json=<path>]
-//! [--bench-baseline=<path>] [--bench-only] [--threads=<n>[,<n>...]]
-//! [--obs-export=<path>]`.
-//!
-//! `--obs-export=<path>` writes the flight-recorder export
-//! ([`ulc_bench::flight`]): per-protocol windowed timelines, causal
-//! span costs and the event-ring tail, validated in-process by
-//! [`ulc_bench::flight::verify_export`] (exact window-sum
-//! reconciliation plus bit-exact derived-report recomputation). The run
-//! exits non-zero if validation fails; builds without the `obs` feature
-//! skip the export with a warning.
+//! [--bench-baseline=<path>] [--bench-only] [--threads=<n>[,<n>...]]`.
 //!
 //! The figure renders go to stdout in a fixed order; the
 //! [`ulc_bench::sweep::SweepSummary`] (threads, wall/cpu milliseconds,
@@ -43,15 +34,15 @@
 //! only, never results. The checked-in baseline carries rows for the
 //! default counts, so the gates expect the default list.
 //!
-//! When built with the `obs` feature the report carries an `obs` section
-//! (conservation-checked event/metrics cells per protocol, DESIGN.md
-//! §5h); any cell whose event ledger fails to reconcile against its
-//! `SimStats` makes the run exit non-zero.
+//! When built with the `obs` feature the allocation profile of every
+//! row runs with a live recorder attached, so the `alloc_stats` gate
+//! holds the instrumented hot path to the same zero-allocation contract.
+//! The observability report itself is `obs-tool export`
+//! ([`ulc_bench::flight`]).
 
 use ulc_bench::sweep::Sweep;
 use ulc_bench::{
-    ablation, degradation, fig2, fig3, fig6, fig7, flight, maybe_write_json, table1, throughput,
-    Scale,
+    ablation, degradation, fig2, fig3, fig6, fig7, maybe_write_json, table1, throughput, Scale,
 };
 use ulc_hierarchy::FaultScenario;
 
@@ -107,21 +98,6 @@ fn run_bench(scale: Scale, json: Option<&str>, baseline: Option<&str>) -> bool {
         eprintln!("wrote {path}");
     }
     let mut ok = true;
-    if let Some(obs) = &report.obs {
-        let failures = obs.conservation_failures();
-        if failures.is_empty() {
-            eprintln!(
-                "obs gate: ok ({} protocols reconciled, ring={})",
-                obs.protocols.len(),
-                obs.ring_capacity
-            );
-        } else {
-            for f in &failures {
-                eprintln!("obs gate FAILED: {f}");
-            }
-            ok = false;
-        }
-    }
     if ulc_bench::alloc_stats::enabled() {
         let alloc_failures = throughput::check_alloc_gate(&report);
         if alloc_failures.is_empty() {
@@ -159,46 +135,11 @@ fn run_bench(scale: Scale, json: Option<&str>, baseline: Option<&str>) -> bool {
     ok
 }
 
-/// Collects the flight-recorder export (`--obs-export=<path>`), writes
-/// it, and gates on [`flight::verify_export`]. Returns `false` if the
-/// export is invalid (a build without `obs` only warns — there is
-/// nothing to record).
-fn run_obs_export(scale: Scale, path: &str) -> bool {
-    if !ulc_obs::recording_compiled() {
-        eprintln!("obs-export: skipped (build without the `obs` feature records nothing)");
-        return true;
-    }
-    let export = flight::collect(scale);
-    let failures = flight::verify_export(&export);
-    let file = std::fs::File::create(path)
-        .unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-    serde_json::to_writer_pretty(file, &export).expect("flight export serialises");
-    eprintln!("wrote {path}");
-    if failures.is_empty() {
-        eprintln!(
-            "obs-export gate: ok ({} cells, window = {} ticks)",
-            export.cells.len(),
-            export.window_len
-        );
-        true
-    } else {
-        for f in &failures {
-            eprintln!("obs-export gate FAILED: {f}");
-        }
-        false
-    }
-}
-
 fn main() {
     let scale = Scale::from_args();
     let bench_json = arg_value("--bench-json=");
     let bench_baseline = arg_value("--bench-baseline=");
     let bench_only = std::env::args().any(|a| a == "--bench-only");
-    if let Some(path) = arg_value("--obs-export=") {
-        if !run_obs_export(scale, &path) {
-            std::process::exit(1);
-        }
-    }
     if bench_only {
         if !run_bench(scale, bench_json.as_deref(), bench_baseline.as_deref()) {
             std::process::exit(1);

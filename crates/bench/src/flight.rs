@@ -1,13 +1,17 @@
 //! Flight-recorder export: time-resolved observability dumps and their
 //! derived analyses (DESIGN.md §5j, EXPERIMENTS.md E12).
 //!
-//! [`collect`] runs every protocol of the `obs` conservation suite with
-//! a windowed [`ulc_obs::TimelineSampler`] attached — the seven
-//! serial cells of [`crate::obs_report`] plus a sharded (shards=4)
-//! ULC-multi leg whose folded timeline is bit-identical to the serial
-//! driver's — and dumps the whole recorder state into a versioned
-//! [`FlightExport`]: final counters, per-window registries, the event
-//! ring's tail, and span-cost histograms.
+//! This is the harness's one observability report. [`collect`] runs
+//! every protocol with a live recorder and a windowed
+//! [`ulc_obs::TimelineSampler`] attached from the first reference —
+//! ULC, uniLRU, indLRU, evict-reload, MQ and a buffered uniLRU on
+//! loop-100k, the ULC/uniLRU warm-up pair on tpcc1, and ULC-multi on
+//! httpd-multi, serially and under a sharded (shards=4) leg whose folded
+//! timeline is bit-identical to the serial driver's. Each cell's
+//! recorded ledger is reconciled against its `SimStats` and its window
+//! sums against the whole-run registry, and the whole recorder state is
+//! dumped into a versioned [`FlightExport`]: final counters, per-window
+//! registries, the event ring's tail, and span-cost histograms.
 //!
 //! The derived section ([`DerivedReport`]) is computed from the dumps
 //! alone, in pure integer arithmetic (cross-multiplied u128 rate
@@ -19,26 +23,25 @@
 //! (process per cell, one slice per window, instant events from the
 //! ring tail).
 
-use crate::obs_report::{
-    dump_counters, dump_hists, dump_levels, stats_view, CounterDump, HistogramDump, LevelDump,
+use crate::cells::{
+    evict_reload_loop, loop_100k, ulc_loop, ulc_multi_httpd, unilru_loop, LOOP_CAPS,
 };
 use crate::Scale;
 use serde::{Deserialize, Serialize, Value};
 use ulc_core::parallel::simulate_sharded;
-use ulc_core::{UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
+use ulc_core::{UlcConfig, UlcSingle};
 use ulc_hierarchy::{
-    simulate, DemotionBuffer, EvictionBased, IndLru, LruMqServer, MultiLevelPolicy, SimStats,
-    UniLru,
+    simulate, DemotionBuffer, IndLru, LruMqServer, MultiLevelPolicy, SimStats, UniLru,
 };
-use ulc_obs::{check, Observe, SpanCostModel};
-use ulc_trace::patterns::{LoopingPattern, Pattern};
+use ulc_obs::{check, CounterId, HistId, MetricsRegistry, Observe, SpanCostModel};
 use ulc_trace::{synthetic, Trace};
 
 /// Schema version of [`FlightExport`]; bump on breaking layout changes.
 pub const FLIGHT_VERSION: u64 = 1;
 
-/// Event-ring slots per flight cell (same sizing rationale as
-/// [`crate::obs_report::OBS_RING_CAPACITY`]).
+/// Event-ring slots per flight cell. Large enough that the smoke cells
+/// keep complete streams; counters stay exact even when longer runs
+/// wrap the ring.
 pub const FLIGHT_RING_CAPACITY: usize = 1 << 16;
 
 /// At most this many trailing events of the ring are exported per cell;
@@ -48,6 +51,57 @@ pub const EVENT_TAIL_CAP: usize = 1024;
 /// Default number of timeline windows when `--window` is not given: the
 /// window length is `refs / DEFAULT_WINDOWS`, clamped to at least 1.
 pub const DEFAULT_WINDOWS: usize = 64;
+
+/// One nonzero histogram bucket: `n` values in `[lo, hi]`.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct BucketDump {
+    /// Inclusive lower bound of the bucket.
+    pub lo: u64,
+    /// Inclusive upper bound of the bucket.
+    pub hi: u64,
+    /// Values recorded in the bucket.
+    pub n: u64,
+}
+
+/// One pre-registered power-of-two histogram, nonzero buckets only.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct HistogramDump {
+    /// Histogram name (`demote_batch`, `rpc_rounds`, `span_cost`).
+    pub name: String,
+    /// Values recorded.
+    pub count: u64,
+    /// Sum of recorded values.
+    pub total: u64,
+    /// Nonzero buckets, ascending.
+    pub buckets: Vec<BucketDump>,
+}
+
+/// One counter's value.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct CounterDump {
+    /// Counter name (see `ulc_obs::CounterId::name`).
+    pub name: String,
+    /// Final value.
+    pub value: u64,
+}
+
+/// Per-level tallies of one cell or window.
+#[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
+pub struct LevelDump {
+    /// Level index, 0 = client. Boundary-indexed fields (demotions,
+    /// buffered) describe boundary `level` → `level + 1`.
+    pub level: usize,
+    /// Hits served at this level.
+    pub hits: u64,
+    /// Blocks installed at this level.
+    pub retrieves: u64,
+    /// Demotions across this boundary (including buffered ones).
+    pub demotions: u64,
+    /// Demotions across this boundary absorbed by a demotion buffer.
+    pub buffered: u64,
+    /// Blocks evicted from this level to `L_out`.
+    pub evictions: u64,
+}
 
 /// One timeline window of one cell: a full registry snapshot of what
 /// happened during those `window_len` ticks.
@@ -236,6 +290,50 @@ pub struct FlightExport {
     pub derived: DerivedReport,
 }
 
+/// Every counter of `m`, in `CounterId::ALL` order.
+fn dump_counters(m: &MetricsRegistry) -> Vec<CounterDump> {
+    CounterId::ALL
+        .iter()
+        .map(|&id| CounterDump {
+            name: id.name().to_string(),
+            value: m.counter(id),
+        })
+        .collect()
+}
+
+/// Every per-level row of `m`, top-down.
+fn dump_levels(m: &MetricsRegistry) -> Vec<LevelDump> {
+    (0..m.levels())
+        .map(|level| {
+            let row = m.level(level);
+            LevelDump {
+                level,
+                hits: row.hits,
+                retrieves: row.retrieves,
+                demotions: row.demotions,
+                buffered: row.buffered,
+                evictions: row.evictions,
+            }
+        })
+        .collect()
+}
+
+/// Every histogram of `m`, in `HistId::ALL` order.
+fn dump_hists(m: &MetricsRegistry) -> Vec<HistogramDump> {
+    HistId::ALL
+        .iter()
+        .map(|&id| {
+            let h = m.hist(id);
+            HistogramDump {
+                name: id.name().to_string(),
+                count: h.count(),
+                total: h.total(),
+                buckets: h.nonzero().map(|(lo, hi, n)| BucketDump { lo, hi, n }).collect(),
+            }
+        })
+        .collect()
+}
+
 /// Runs one flight cell: recording + timeline from the first reference,
 /// full conservation and window-conservation checks, full dump.
 #[allow(clippy::too_many_arguments)]
@@ -283,7 +381,13 @@ fn flight_cell<P: MultiLevelPolicy + Observe>(
             residency: "n/a".to_string(),
         };
     };
-    let conservation = match check::reconcile(rec, &stats_view(&stats)) {
+    let view = check::StatsView {
+        references: stats.references,
+        hits_by_level: &stats.hits_by_level,
+        misses: stats.misses,
+        demotions_by_boundary: &stats.demotions_by_boundary,
+    };
+    let conservation = match check::reconcile(rec, &view) {
         Ok(()) => "ok".to_string(),
         Err(e) => e,
     };
@@ -352,8 +456,8 @@ fn serial<P: MultiLevelPolicy>(policy: &mut P, trace: &Trace) -> SimStats {
     simulate(policy, trace, 0)
 }
 
-/// References per cell at each scale; smaller than the `obs_report`
-/// cells because every flight cell also carries a full timeline.
+/// References per cell at each scale, kept short because every cell
+/// also carries a full timeline.
 fn flight_refs(scale: Scale) -> usize {
     match scale {
         Scale::Smoke => 60_000,
@@ -378,14 +482,14 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
     } else {
         window_len
     };
-    let loop_trace = LoopingPattern::new(100_000).generate(refs);
+    let loop_trace = loop_100k(refs);
     let httpd = synthetic::httpd_multi(refs);
     let mut cells = vec![flight_cell(
         "ULC",
         "loop-100k",
         1,
         true,
-        UlcSingle::new(UlcConfig::new(vec![40_000, 80_000])),
+        ulc_loop(),
         &loop_trace,
         window_len,
         serial,
@@ -395,7 +499,7 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
         "loop-100k",
         1,
         false,
-        UniLru::single_client(vec![40_000, 80_000]),
+        unilru_loop(),
         &loop_trace,
         window_len,
         serial,
@@ -405,7 +509,7 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
         "loop-100k",
         1,
         false,
-        IndLru::single_client(vec![40_000, 80_000]),
+        IndLru::single_client(LOOP_CAPS.to_vec()),
         &loop_trace,
         window_len,
         serial,
@@ -415,7 +519,7 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
         "loop-100k",
         1,
         false,
-        EvictionBased::new(vec![40_000], 80_000, 5),
+        evict_reload_loop(),
         &loop_trace,
         window_len,
         serial,
@@ -425,7 +529,7 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
         "loop-100k",
         1,
         false,
-        LruMqServer::new(vec![40_000], 80_000),
+        LruMqServer::new(vec![LOOP_CAPS[0]], LOOP_CAPS[1]),
         &loop_trace,
         window_len,
         serial,
@@ -435,7 +539,7 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
         "loop-100k",
         1,
         false,
-        DemotionBuffer::new(UniLru::single_client(vec![40_000, 80_000]), 64, 0.5),
+        DemotionBuffer::new(unilru_loop(), 64, 0.5),
         &loop_trace,
         window_len,
         serial,
@@ -471,7 +575,7 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
         "httpd-multi",
         1,
         false,
-        UlcMulti::new(UlcMultiConfig::uniform(7, 1024, 8192)),
+        ulc_multi_httpd(),
         &httpd,
         window_len,
         serial,
@@ -481,7 +585,7 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
         "httpd-multi",
         4,
         false,
-        UlcMulti::new(UlcMultiConfig::uniform(7, 1024, 8192)),
+        ulc_multi_httpd(),
         &httpd,
         window_len,
         |policy, trace| simulate_sharded(policy, trace, 0, 4),
@@ -936,7 +1040,6 @@ pub fn render_report(e: &FlightExport) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs_report::BucketDump;
 
     fn tiny_cell(protocol: &str, window_demotions: &[u64]) -> FlightCell {
         let span_cost = HistogramDump {
@@ -1126,6 +1229,13 @@ mod tests {
             .expect("sharded multi cell");
         assert_eq!(serial.windows, sharded.windows, "fold must be bit-identical");
         assert_eq!(serial.counters, sharded.counters);
+        // At this scale the rings hold whole streams, so the residency
+        // replay runs on both ULC cells (and verifies) and on no other.
+        for c in &export.cells {
+            let want = if c.protocol == "ULC" { "verified" } else { "n/a" };
+            assert_eq!(c.residency, want, "{}/{} x{}", c.protocol, c.workload, c.shards);
+        }
+        assert_eq!(export.cells.iter().filter(|c| c.protocol == "ULC").count(), 2);
         // The whole export round-trips and still verifies.
         let text = serde_json::to_string(&export).expect("serialises");
         let back: FlightExport = serde_json::from_str(&text).expect("parses");

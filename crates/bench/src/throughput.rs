@@ -17,15 +17,14 @@
 //! §5f zero-allocation contract requires to be allocation-free); see
 //! [`check_alloc_gate`].
 
-use crate::obs_report::{ObsSection, OBS_RING_CAPACITY};
-use crate::{alloc_stats, row, Scale};
+use crate::flight::FLIGHT_RING_CAPACITY;
+use crate::{alloc_stats, cells, row, Scale};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use ulc_core::parallel::ShardedReplayer;
 use ulc_core::{UlcConfig, UlcMultiConfig, UlcMulti, UlcSingle};
-use ulc_hierarchy::{simulate, AccessOutcome, EvictionBased, MultiLevelPolicy, SimStats, UniLru};
+use ulc_hierarchy::{simulate, AccessOutcome, MultiLevelPolicy, SimStats, UniLru};
 use ulc_obs::Observe;
-use ulc_trace::patterns::{LoopingPattern, Pattern};
 use ulc_trace::{synthetic, Trace};
 
 /// Shard counts the sharded ULC-multi cells are measured at by default
@@ -61,36 +60,13 @@ pub struct ThroughputRow {
 }
 
 /// The full throughput report, serialised to `BENCH_sim.json`.
-#[derive(Clone, Debug, Default, Serialize)]
+#[derive(Clone, Debug, Default, Serialize, Deserialize)]
 pub struct ThroughputReport {
     /// Scale label the report was generated at ("smoke", "default",
     /// "full") — baseline comparisons only make sense within one scale.
     pub scale: String,
     /// One row per protocol × workload × trace size.
     pub rows: Vec<ThroughputRow>,
-    /// Observability section (DESIGN.md §5h): conservation-checked event
-    /// and metrics cells for every protocol. `None` when the report was
-    /// generated without the `obs` feature.
-    pub obs: Option<ObsSection>,
-}
-
-// Hand-written so baselines recorded before the `obs` section existed
-// (no "obs" key at all) keep deserialising; the derive errors on missing
-// fields.
-impl serde::Deserialize for ThroughputReport {
-    fn from_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let fields = v
-            .as_object()
-            .ok_or_else(|| serde::DeError::custom("expected object for ThroughputReport"))?;
-        Ok(ThroughputReport {
-            scale: serde::Deserialize::from_value(serde::get_field(fields, "scale")?)?,
-            rows: serde::Deserialize::from_value(serde::get_field(fields, "rows")?)?,
-            obs: match serde::get_field(fields, "obs") {
-                Ok(value) => serde::Deserialize::from_value(value)?,
-                Err(_) => None,
-            },
-        })
-    }
 }
 
 /// Trace sizes measured per workload. Several sizes per scale so the
@@ -210,7 +186,7 @@ fn alloc_profile_sharded<F: Fn() -> UlcMulti>(build: F, trace: &Trace, threads: 
     }
     let mut policy = build();
     let levels = policy.num_levels();
-    policy.obs_mut().enable(levels, OBS_RING_CAPACITY);
+    policy.obs_mut().enable(levels, FLIGHT_RING_CAPACITY);
     let mut replayer = ShardedReplayer::new(trace, threads);
     let warmup = trace.warmup_len();
     let split = trace.len() * 9 / 10;
@@ -268,7 +244,7 @@ where
     // once, here, before `alloc_profile` resets the counters.
     let mut profiled = build();
     let levels = profiled.num_levels();
-    profiled.obs_mut().enable(levels, OBS_RING_CAPACITY);
+    profiled.obs_mut().enable(levels, FLIGHT_RING_CAPACITY);
     let (warmup_allocs_per_access, steady_allocs_per_access) = alloc_profile(profiled, trace);
     ThroughputRow {
         protocol: protocol.to_string(),
@@ -301,16 +277,10 @@ pub fn run(scale: Scale) -> ThroughputReport {
 pub fn run_with_threads(scale: Scale, thread_counts: &[usize]) -> ThroughputReport {
     let mut rows = Vec::new();
     for refs in trace_sizes(scale) {
-        let looping = LoopingPattern::new(100_000).generate(refs);
-        rows.push(measure("ULC", "loop-100k", &looping, || {
-            UlcSingle::new(UlcConfig::new(vec![40_000, 80_000]))
-        }));
-        rows.push(measure("uniLRU", "loop-100k", &looping, || {
-            UniLru::single_client(vec![40_000, 80_000])
-        }));
-        rows.push(measure("evict-reload", "loop-100k", &looping, || {
-            EvictionBased::new(vec![40_000], 80_000, 5)
-        }));
+        let looping = cells::loop_100k(refs);
+        rows.push(measure("ULC", "loop-100k", &looping, cells::ulc_loop));
+        rows.push(measure("uniLRU", "loop-100k", &looping, cells::unilru_loop));
+        rows.push(measure("evict-reload", "loop-100k", &looping, cells::evict_reload_loop));
 
         let zipf = synthetic::zipf_small(refs);
         rows.push(measure("ULC", "zipf-small", &zipf, || {
@@ -321,8 +291,7 @@ pub fn run_with_threads(scale: Scale, thread_counts: &[usize]) -> ThroughputRepo
         }));
 
         let multi = synthetic::httpd_multi(refs);
-        let httpd_build = || UlcMulti::new(UlcMultiConfig::uniform(7, 1024, 8192));
-        rows.push(measure("ULC-multi", "httpd-multi", &multi, httpd_build));
+        rows.push(measure("ULC-multi", "httpd-multi", &multi, cells::ulc_multi_httpd));
         let httpd_serial_aps = rows.last().expect("row just pushed").interned_aps;
         for &threads in thread_counts {
             rows.push(measure_sharded(
@@ -331,7 +300,7 @@ pub fn run_with_threads(scale: Scale, thread_counts: &[usize]) -> ThroughputRepo
                 &multi,
                 threads,
                 httpd_serial_aps,
-                httpd_build,
+                cells::ulc_multi_httpd,
             ));
         }
 
@@ -359,11 +328,6 @@ pub fn run_with_threads(scale: Scale, thread_counts: &[usize]) -> ThroughputRepo
     ThroughputReport {
         scale: scale_label(scale).to_string(),
         rows,
-        obs: if ulc_obs::recording_compiled() {
-            Some(crate::obs_report::collect(scale))
-        } else {
-            None
-        },
     }
 }
 
@@ -435,8 +399,8 @@ pub fn check_alloc_gate(report: &ThroughputReport) -> Vec<String> {
             && r.steady_allocs_per_access > 0.0
         {
             failures.push(format!(
-                "{}/{}/{}: {:.6} steady-state allocations/access (contract: 0)",
-                r.protocol, r.workload, r.refs, r.steady_allocs_per_access
+                "{}/{}/{}@{}t: {:.6} steady-state allocations/access (contract: 0)",
+                r.protocol, r.workload, r.refs, r.threads, r.steady_allocs_per_access
             ));
         }
     }
@@ -475,10 +439,11 @@ pub fn check_against_baseline(
         let floor = b.interned_aps * (1.0 - max_regression);
         if c.interned_aps < floor {
             failures.push(format!(
-                "{}/{}/{}: {} < {:.0}% of baseline {}",
+                "{}/{}/{}@{}t: {} < {:.0}% of baseline {}",
                 c.protocol,
                 c.workload,
                 c.refs,
+                c.threads,
                 fmt_aps(c.interned_aps),
                 100.0 * (1.0 - max_regression),
                 fmt_aps(b.interned_aps),
@@ -545,12 +510,12 @@ pub fn check_shard_scaling(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ulc_trace::patterns::{LoopingPattern, Pattern};
 
     fn report(rows: Vec<ThroughputRow>) -> ThroughputReport {
         ThroughputReport {
             scale: "smoke".into(),
             rows,
-            obs: None,
         }
     }
 
@@ -636,7 +601,7 @@ mod tests {
         let cur = report(vec![r("ULC-multi", 1000.0), sharded("ULC-multi", 8, 1000.0)]);
         let fails = check_against_baseline(&cur, &base, 0.25);
         assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("ULC-multi"));
+        assert!(fails[0].contains("ULC-multi/loop-100k/1000@8t"), "{fails:?}");
     }
 
     #[test]
@@ -662,15 +627,15 @@ mod tests {
     }
 
     #[test]
-    fn baseline_without_obs_section_deserialises() {
-        // The checked-in baseline has no `obs` key; it must load with the
-        // section absent so the throughput gate keeps working.
+    fn reports_with_keys_the_schema_dropped_still_load() {
+        // Reports written by older builds carry keys the schema no longer
+        // has (an `"obs"` section, per-row `reference_aps`); the gate must
+        // still read them as baselines.
         let text = r#"{"scale":"smoke","rows":[{"protocol":"ULC","workload":"loop-100k",
-            "refs":1000,"threads":1,"interned_aps":1.0,"speedup":1.0,
-            "warmup_allocs_per_access":0.0,"steady_allocs_per_access":0.0}]}"#;
-        let rep: ThroughputReport = serde_json::from_str(text).expect("baseline without obs");
+            "refs":1000,"threads":1,"interned_aps":1.0,"reference_aps":2.0,"speedup":1.0,
+            "warmup_allocs_per_access":0.0,"steady_allocs_per_access":0.0}],"obs":null}"#;
+        let rep: ThroughputReport = serde_json::from_str(text).expect("older report loads");
         assert_eq!(rep.rows[0].interned_aps, 1.0);
-        assert!(rep.obs.is_none(), "missing obs section defaults to None");
     }
 
     #[test]

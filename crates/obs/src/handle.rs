@@ -1,75 +1,92 @@
 //! `ObsHandle` — the engine-facing switch of the observability plane.
 //!
 //! Every instrumented engine owns one `ObsHandle` and calls its `on_*`
-//! hooks from `access_into`. The handle has two compilations:
+//! hooks from `access_into`. Every hook has one body: it asks
+//! [`ObsHandle::recorder_mut`] for the attached recorder and records
+//! into it when there is one.
 //!
-//! * **`enabled` feature off** (the default): a zero-sized struct whose
-//!   methods are empty `#[inline]` bodies. The hooks vanish entirely —
-//!   no branch, no field, no cost — so the uninstrumented hot path is
-//!   bit-for-bit the PR 5 one.
-//! * **`enabled` feature on**: an `Option<Box<RingRecorder>>`. Until
-//!   [`ObsHandle::enable`] is called the option is `None` and every hook
-//!   is one well-predicted branch; after it, hooks record into the
-//!   pre-allocated ring and registry without allocating.
+//! * **`enabled` feature off** (the default): the handle's only field is
+//!   compiled out, so it is zero-sized and `recorder_mut` is a constant
+//!   `None`. The hooks fold away entirely — no branch, no field, no
+//!   cost — so the uninstrumented hot path carries no trace of them.
+//! * **`enabled` feature on**: the field is an
+//!   `Option<Box<RingRecorder>>`. Until [`ObsHandle::enable`] is called
+//!   it is `None` and every hook is one well-predicted branch; after
+//!   it, hooks record into the pre-allocated ring and registry without
+//!   allocating.
 //!
 //! The [`Observe`] trait is how generic drivers (the throughput
 //! harness, the conservation suites, `DemotionBuffer`) reach the handle
 //! of a policy they only know as `P: MultiLevelPolicy + Observe`.
 
-#[cfg(feature = "enabled")]
 use crate::event::EventKind;
-#[cfg(feature = "enabled")]
 use crate::metrics::CounterId;
-use crate::metrics::HistId;
-use crate::recorder::RingRecorder;
-#[cfg(feature = "enabled")]
-use crate::recorder::Recorder;
+use crate::recorder::{Recorder, RingRecorder};
 
-/// Live variant: an optional boxed [`RingRecorder`].
-#[cfg(feature = "enabled")]
+/// The engine-facing recording switch; zero-sized without the `enabled`
+/// feature.
 #[derive(Clone, Debug, Default)]
 pub struct ObsHandle {
+    #[cfg(feature = "enabled")]
     rec: Option<Box<RingRecorder>>,
 }
 
-/// Disabled variant: a zero-sized no-op.
-#[cfg(not(feature = "enabled"))]
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ObsHandle {}
-
-#[cfg(feature = "enabled")]
 impl ObsHandle {
-    /// A handle with no recorder attached (hooks are cheap branches).
+    /// A handle with no recorder attached. Without the `enabled`
+    /// feature this is the only state a handle can be in.
     pub fn disabled() -> Self {
-        ObsHandle { rec: None }
+        ObsHandle::default()
     }
 
     /// Attaches a fresh [`RingRecorder`] sized for a `levels`-deep
     /// hierarchy with an event ring of `capacity` slots. Allocates here,
-    /// once; recording afterwards never does.
+    /// once; recording afterwards never does. A no-op without the
+    /// `enabled` feature.
     pub fn enable(&mut self, levels: usize, capacity: usize) {
-        self.rec = Some(Box::new(RingRecorder::new(levels, capacity)));
+        #[cfg(feature = "enabled")]
+        {
+            self.rec = Some(Box::new(RingRecorder::new(levels, capacity)));
+        }
+        #[cfg(not(feature = "enabled"))]
+        let _ = (levels, capacity);
     }
 
     /// Whether a recorder is attached.
     pub fn is_enabled(&self) -> bool {
-        self.rec.is_some()
+        self.recorder().is_some()
     }
 
     /// The attached recorder, if any.
     pub fn recorder(&self) -> Option<&RingRecorder> {
-        self.rec.as_deref()
+        #[cfg(feature = "enabled")]
+        {
+            self.rec.as_deref()
+        }
+        #[cfg(not(feature = "enabled"))]
+        {
+            None
+        }
     }
 
-    /// Mutable access to the attached recorder, if any.
+    /// Mutable access to the attached recorder, if any; a constant
+    /// `None` without the `enabled` feature, which is what folds every
+    /// hook below away.
+    #[inline(always)]
     pub fn recorder_mut(&mut self) -> Option<&mut RingRecorder> {
-        self.rec.as_deref_mut()
+        #[cfg(feature = "enabled")]
+        {
+            self.rec.as_deref_mut()
+        }
+        #[cfg(not(feature = "enabled"))]
+        {
+            None
+        }
     }
 
     /// Marks the start of one reference.
     #[inline]
     pub fn begin_access(&mut self) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.begin_access();
         }
     }
@@ -77,7 +94,7 @@ impl ObsHandle {
     /// The accessed block was found at `level`.
     #[inline]
     pub fn on_hit(&mut self, level: usize, block: u64) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.record_event(EventKind::Hit, level, block);
         }
     }
@@ -85,7 +102,7 @@ impl ObsHandle {
     /// The accessed block was not cached anywhere.
     #[inline]
     pub fn on_miss(&mut self, block: u64) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             let sentinel = r.metrics.levels();
             r.record_event(EventKind::Miss, sentinel, block);
         }
@@ -95,7 +112,7 @@ impl ObsHandle {
     /// `L_out` sentinel for "settled uncached").
     #[inline]
     pub fn on_retrieve(&mut self, level: usize, block: u64) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.record_event(EventKind::Retrieve, level, block);
         }
     }
@@ -103,7 +120,7 @@ impl ObsHandle {
     /// A block crossed `boundary` downward.
     #[inline]
     pub fn on_demote(&mut self, boundary: usize, block: u64) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.record_event(EventKind::Demote, boundary, block);
         }
     }
@@ -111,7 +128,7 @@ impl ObsHandle {
     /// A demotion across `boundary` was absorbed by a demotion buffer.
     #[inline]
     pub fn on_demote_buffered(&mut self, boundary: usize) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.record_buffered(boundary);
         }
     }
@@ -119,7 +136,7 @@ impl ObsHandle {
     /// A block left the hierarchy from `level`.
     #[inline]
     pub fn on_evict(&mut self, level: usize, block: u64) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.record_event(EventKind::Evict, level, block);
         }
     }
@@ -127,7 +144,7 @@ impl ObsHandle {
     /// A reconciliation round ran for client `who`.
     #[inline]
     pub fn on_reconcile(&mut self, who: usize) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.record_event(EventKind::Reconcile, who, 0);
         }
     }
@@ -135,7 +152,7 @@ impl ObsHandle {
     /// The protocol observed and worked around a fault at `level`.
     #[inline]
     pub fn on_fault(&mut self, level: usize, block: u64) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.record_event(EventKind::Fault, level, block);
         }
     }
@@ -143,16 +160,8 @@ impl ObsHandle {
     /// One synchronous RPC round-trip was issued, reaching `to_level`.
     #[inline]
     pub fn on_rpc(&mut self, to_level: usize) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.record_rpc(to_level);
-        }
-    }
-
-    /// Records a value into a pre-registered histogram.
-    #[inline]
-    pub fn observe_hist(&mut self, id: HistId, value: u64) {
-        if let Some(r) = self.rec.as_deref_mut() {
-            r.observe_hist(id, value);
         }
     }
 
@@ -161,7 +170,7 @@ impl ObsHandle {
     /// `begin_access` so windowed timelines align with the serial run.
     #[inline]
     pub fn set_tick(&mut self, tick: u64) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.set_tick(tick);
         }
     }
@@ -170,7 +179,7 @@ impl ObsHandle {
     /// (`capacity` windows of `window_len` ticks) to the recorder.
     /// Requires [`ObsHandle::enable`] first; call before the run.
     pub fn enable_timeline(&mut self, window_len: u64, capacity: usize) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.enable_timeline(window_len, capacity);
         }
     }
@@ -178,7 +187,7 @@ impl ObsHandle {
     /// Folds transport fault totals from a message plane's accounting
     /// into the `PlaneFaults` counter (and the current timeline window).
     pub fn add_plane_faults(&mut self, n: u64) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.add_counter(CounterId::PlaneFaults, n);
         }
     }
@@ -186,97 +195,10 @@ impl ObsHandle {
     /// Flushes per-access batching state; call once after the last
     /// reference, before harvesting.
     pub fn finish(&mut self) {
-        if let Some(r) = self.rec.as_deref_mut() {
+        if let Some(r) = self.recorder_mut() {
             r.finish();
         }
     }
-}
-
-#[cfg(not(feature = "enabled"))]
-impl ObsHandle {
-    /// A handle with no recorder attached. Without the `enabled`
-    /// feature this is the only state a handle can be in.
-    pub fn disabled() -> Self {
-        ObsHandle {}
-    }
-
-    /// No-op without the `enabled` feature.
-    pub fn enable(&mut self, _levels: usize, _capacity: usize) {}
-
-    /// Always `false` without the `enabled` feature.
-    pub fn is_enabled(&self) -> bool {
-        false
-    }
-
-    /// Always `None` without the `enabled` feature.
-    pub fn recorder(&self) -> Option<&RingRecorder> {
-        None
-    }
-
-    /// Always `None` without the `enabled` feature.
-    pub fn recorder_mut(&mut self) -> Option<&mut RingRecorder> {
-        None
-    }
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn begin_access(&mut self) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn on_hit(&mut self, _level: usize, _block: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn on_miss(&mut self, _block: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn on_retrieve(&mut self, _level: usize, _block: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn on_demote(&mut self, _boundary: usize, _block: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn on_demote_buffered(&mut self, _boundary: usize) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn on_evict(&mut self, _level: usize, _block: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn on_reconcile(&mut self, _who: usize) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn on_fault(&mut self, _level: usize, _block: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn on_rpc(&mut self, _to_level: usize) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn observe_hist(&mut self, _id: HistId, _value: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn set_tick(&mut self, _tick: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn enable_timeline(&mut self, _window_len: u64, _capacity: usize) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn add_plane_faults(&mut self, _n: u64) {}
-
-    /// No-op without the `enabled` feature.
-    #[inline(always)]
-    pub fn finish(&mut self) {}
 }
 
 /// Exposes a policy's [`ObsHandle`] to generic drivers.
@@ -306,16 +228,23 @@ mod tests {
         h.on_rpc(1);
         h.set_tick(3);
         h.enable_timeline(4, 4);
-        h.observe_hist(HistId::LldR, 7);
         h.add_plane_faults(2);
         h.finish();
         assert!(h.recorder().is_none() || h.is_enabled());
     }
 
+    #[cfg(not(feature = "enabled"))]
+    #[test]
+    fn handle_is_zero_sized_without_the_feature() {
+        assert_eq!(std::mem::size_of::<ObsHandle>(), 0);
+        let mut h = ObsHandle::disabled();
+        h.enable(2, 32);
+        assert!(!h.is_enabled(), "enable is a no-op without the feature");
+    }
+
     #[cfg(feature = "enabled")]
     #[test]
     fn enabled_handle_records() {
-        use crate::metrics::CounterId;
         let mut h = ObsHandle::disabled();
         assert!(!h.is_enabled());
         h.enable(2, 32);

@@ -79,9 +79,6 @@ impl CounterId {
 /// The pre-registered histograms.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum HistId {
-    /// LLD-R locality distances of the driving trace (fed by the sweep
-    /// harness from `ulc_measures::trace_measures`).
-    LldR,
     /// Demotions emitted per access (only accesses that demoted).
     DemoteBatch,
     /// RPC round-trips per access (only accesses that issued RPCs).
@@ -94,13 +91,11 @@ pub enum HistId {
 
 impl HistId {
     /// Every histogram, in declaration order.
-    pub const ALL: [HistId; 4] =
-        [HistId::LldR, HistId::DemoteBatch, HistId::RpcRounds, HistId::SpanCost];
+    pub const ALL: [HistId; 3] = [HistId::DemoteBatch, HistId::RpcRounds, HistId::SpanCost];
 
     /// Stable snake_case name for exports.
     pub fn name(self) -> &'static str {
         match self {
-            HistId::LldR => "lld_r",
             HistId::DemoteBatch => "demote_batch",
             HistId::RpcRounds => "rpc_rounds",
             HistId::SpanCost => "span_cost",
@@ -171,7 +166,7 @@ impl Pow2Histogram {
 
     /// Sum of all recorded values. Wrapping, so merging stays exactly
     /// associative/commutative even on adversarial inputs; realistic
-    /// totals (distances, batch sizes) never approach the wrap.
+    /// totals (batch sizes, span costs) never approach the wrap.
     pub fn total(&self) -> u64 {
         self.total
     }
@@ -235,12 +230,7 @@ impl MetricsRegistry {
         MetricsRegistry {
             counters: [0; CounterId::ALL.len()],
             per_level: vec![LevelCounters::default(); levels],
-            hists: [
-                Pow2Histogram::new(),
-                Pow2Histogram::new(),
-                Pow2Histogram::new(),
-                Pow2Histogram::new(),
-            ],
+            hists: [Pow2Histogram::new(), Pow2Histogram::new(), Pow2Histogram::new()],
         }
     }
 

@@ -42,10 +42,6 @@ pub trait Recorder {
     fn record_buffered(&mut self, boundary: usize) {
         let _ = boundary;
     }
-    /// Records a value into a pre-registered histogram.
-    fn observe_hist(&mut self, id: HistId, value: u64) {
-        let _ = (id, value);
-    }
     /// Re-stamps the current tick (1-based global access position).
     /// Drivers that replay accesses out of arrival order — the sharded
     /// executor — call this before `begin_access` so windowed timelines
@@ -155,13 +151,6 @@ impl RingRecorder {
     /// The metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
-    }
-
-    /// Mutable access to the metrics registry, for feeding externally
-    /// computed tallies (e.g. trace LLD-R) into a recorder that has no
-    /// timeline attached.
-    pub fn metrics_mut(&mut self) -> &mut MetricsRegistry {
-        &mut self.metrics
     }
 
     /// The attached timeline, if any.
@@ -302,14 +291,6 @@ impl Recorder for RingRecorder {
     }
 
     #[inline]
-    fn observe_hist(&mut self, id: HistId, value: u64) {
-        self.metrics.observe(id, value);
-        if let Some(t) = self.timeline.as_deref_mut() {
-            t.sample_window().observe(id, value);
-        }
-    }
-
-    #[inline]
     fn set_tick(&mut self, tick: u64) {
         self.tick = tick;
         if let Some(t) = self.timeline.as_deref_mut() {
@@ -353,7 +334,6 @@ mod tests {
         r.record_event(EventKind::Hit, 0, 1);
         r.record_rpc(1);
         r.record_buffered(0);
-        r.observe_hist(HistId::LldR, 9);
         r.set_tick(5);
         r.span_end();
         r.finish();

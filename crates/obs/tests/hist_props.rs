@@ -77,7 +77,7 @@ fn registry_of(levels: usize, values: &[u64]) -> MetricsRegistry {
     let mut m = MetricsRegistry::new(levels);
     for &v in values {
         m.inc(CounterId::Accesses);
-        m.observe(HistId::LldR, v);
+        m.observe(HistId::SpanCost, v);
         if let Some(row) = m.level_mut((v % levels as u64) as usize) {
             row.hits += 1;
         }

@@ -98,34 +98,37 @@ cargo run -q --release -p ulc-bench --features alloc_stats --bin sweep -- \
 # The unit-level form of the same contract, with the counting allocator on:
 cargo test -q -p ulc-bench --features alloc_stats --test alloc_gate
 
-# Observability gates (ISSUE 8, DESIGN.md §5h): the obs crate's own suite
-# (ring, registry, proptested merge laws), the per-protocol conservation
+# Observability gates (DESIGN.md §5h): the obs crate's own suite (ring,
+# registry, proptested merge laws) and the per-protocol conservation
 # suite (event ledger reconciles exactly with SimStats; the exclusive
-# UlcSingle event log replays to single residency on its own), and the
-# golden bench-JSON schema snapshot that pins the `obs` section's shape.
+# UlcSingle event log replays to single residency on its own).
 cargo test -q -p ulc-obs --features enabled
 cargo test -q -p ulc-core --features obs --test obs_conservation
-cargo test -q -p ulc-bench --features obs --test bench_json_schema
 
 # The §5f contract with a live recorder attached: the same alloc-gate
-# suite plus a seeded smoke sweep built with recording enabled, which
-# must report 0.0000 steady allocations/access AND reconcile every
-# protocol's conservation cell (the run exits non-zero otherwise). No
-# baseline: an instrumented build's rates are not comparable.
+# suite plus a seeded smoke sweep built with recording enabled, whose
+# allocation profiles run with a recorder attached to every row and
+# must report 0.0000 steady allocations/access (the run exits non-zero
+# otherwise). No baseline: an instrumented build's rates are not
+# comparable.
 cargo test -q -p ulc-bench --features "alloc_stats obs" --test alloc_gate
 mkdir -p results
 cargo run -q --release -p ulc-bench --features "alloc_stats obs" --bin sweep -- \
   --bench-only --scale=smoke --bench-json=results/BENCH_obs.json
 
-# The flight-recorder export round trip (DESIGN.md §5j, EXPERIMENTS.md
-# E12): the golden schema snapshot pins the export's shape, then
-# obs-tool writes a seeded smoke export (+ Chrome trace) whose window
-# sums must reconcile exactly with the final registries, and `verify`
+# The flight-recorder export, the one observability report (DESIGN.md
+# §5j, EXPERIMENTS.md E12): the golden schema snapshots pin the export's
+# shape (and the bench JSON's, which plain `cargo test` also checks),
+# then obs-tool writes a seeded smoke export whose every cell reconciles
+# with its SimStats and whose window sums reconcile exactly with the
+# final registries, converts it to a Chrome trace, and `verify`
 # re-parses the written file and recomputes the derived report
-# bit-identically — both commands exit non-zero on any drift.
-cargo test -q -p ulc-bench --features obs --test obs_export_schema
+# bit-identically — export and verify exit non-zero on any drift.
+cargo test -q -p ulc-bench --features obs --test json_schema
 cargo run -q --release -p ulc-bench --features obs --bin obs-tool -- \
-  export --scale=smoke --out=results/FLIGHT_obs.json --chrome=results/FLIGHT_trace.json
+  export --scale=smoke --out=results/FLIGHT_obs.json
+cargo run -q --release -p ulc-bench --features obs --bin obs-tool -- \
+  chrome --in=results/FLIGHT_obs.json --out=results/FLIGHT_trace.json
 cargo run -q --release -p ulc-bench --features obs --bin obs-tool -- \
   verify --in=results/FLIGHT_obs.json
 
