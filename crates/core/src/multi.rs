@@ -686,9 +686,13 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
         self.plane.tick();
         self.apply_crashes();
         // Directives from any client that became due reach the server
-        // first (no-op on the reliable plane: its queues drain within the
-        // access that fills them).
-        self.drain_server_inbox();
+        // first. Only a lossy plane can hold any: on a lossless one the
+        // previous access's trailing drain emptied every `Down` queue.
+        if self.plane.lossy() {
+            self.drain_server_inbox();
+        }
+        #[cfg(feature = "debug_invariants")]
+        ulc_hierarchy::plane::assert_down_links_drained(&self.plane, self.clients.len());
         if self.clients[c].dirty {
             self.clients[c].dirty = false;
             self.reconcile_client(c);
@@ -814,10 +818,11 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
                 );
             }
         }
-        // On the reliable plane the directives land right now, in order.
-        // Only this client's link can hold anything due: the leading drain
-        // at this same tick emptied every link of its due traffic, and
-        // this access sent `Down` traffic on its own link alone.
+        // On a lossless plane the directives land right now, in order.
+        // Only this client's link can hold anything due: no other link
+        // held anything due at access start (the leading drain delivered
+        // it on a lossy plane, earlier trailing drains on a lossless one),
+        // and this access sent `Down` traffic on its own link alone.
         self.drain_link(c);
 
         #[cfg(feature = "debug_invariants")]

@@ -37,7 +37,6 @@ use crate::stats::FaultSummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::collections::BTreeMap;
-use std::collections::VecDeque;
 use std::str::FromStr;
 use ulc_trace::BlockId;
 
@@ -164,11 +163,15 @@ impl PlaneAccounting {
 
 /// A caller-owned, reusable buffer of delivered messages.
 ///
-/// [`MessagePlane::deliver_into`] drains a link queue into one of these
-/// in place; clearing keeps the capacity, so a protocol that pumps its
+/// [`MessagePlane::deliver_into`] hands a link queue's deliverable
+/// messages over in one of these. [`ReliablePlane`] swaps the whole queue
+/// buffer with the batch's emptied one, so nothing is copied and the
+/// buffers circulate between the queues and the pooled batches; a plane
+/// that delivers message by message pushes into the batch instead.
+/// Clearing keeps the capacity either way, so a protocol that pumps its
 /// inbox through a pooled batch every access stops touching the allocator
-/// once the batch has grown to the busiest delivery it has seen
-/// (DESIGN.md §5f).
+/// once the circulating buffers have grown to the busiest delivery they
+/// have seen (DESIGN.md §5f).
 #[derive(Clone, Debug, Default)]
 pub struct DeliveryBatch {
     msgs: Vec<Message>,
@@ -204,12 +207,6 @@ impl DeliveryBatch {
     /// The delivered messages, in delivery order.
     pub fn as_slice(&self) -> &[Message] {
         &self.msgs
-    }
-}
-
-impl Extend<Message> for DeliveryBatch {
-    fn extend<I: IntoIterator<Item = Message>>(&mut self, iter: I) {
-        self.msgs.extend(iter);
     }
 }
 
@@ -272,22 +269,51 @@ pub trait MessagePlane: std::fmt::Debug {
     /// Whether this plane can ever lose, duplicate, delay or crash —
     /// protocols gate their recovery machinery on this so a lossless plane
     /// stays bit-identical to the historical in-line behaviour.
+    ///
+    /// A lossless plane (`false`) makes every message deliverable at the
+    /// tick it was sent. A protocol that drains its own traffic before its
+    /// access returns therefore starts every access with empty queues, and
+    /// skips its leading drain when this is `false`.
     fn lossy(&self) -> bool;
 
     /// The transport counters so far.
     fn accounting(&self) -> PlaneAccounting;
 }
 
+/// The claim behind an engine's skipped leading drain: on a lossless
+/// plane no `Down` message is queued on links `0..links` when an access
+/// starts. A lossy plane may hold delayed traffic, so it is not checked.
+///
+/// # Panics
+///
+/// Panics if a lossless plane still holds `Down` traffic.
+#[cfg(feature = "debug_invariants")]
+pub fn assert_down_links_drained(plane: &impl MessagePlane, links: usize) {
+    if plane.lossy() {
+        return;
+    }
+    for link in 0..links {
+        assert_eq!(
+            plane.queued_len(link, Direction::Down),
+            0,
+            "lossless plane: `Down` traffic on link {link} outlived the access that sent it"
+        );
+    }
+}
+
 /// The perfect transport: every message is delivered exactly once, in
 /// send order, within the access that queued it.
 ///
-/// Queues live in one dense table indexed by `link * 2 + direction`,
-/// grown on demand (the plane learns its link count from traffic). The
-/// queues are recycled in place: a drained slot keeps its buffer, so a
+/// Queues live in one dense table of `Vec`s indexed by
+/// `link * 2 + direction`, grown on demand (the plane learns its link
+/// count from traffic). Delivery swaps a queue's buffer with the caller's
+/// emptied batch buffer, so no message is copied: the drained slot gets
+/// the batch's old buffer and keeps it for the next sends. The buffers
+/// circulate between the queues and the pooled batches, and a
 /// steady-state run allocates nothing per access.
 #[derive(Clone, Debug, Default)]
 pub struct ReliablePlane {
-    queues: Vec<VecDeque<Message>>,
+    queues: Vec<Vec<Message>>,
     now: u64,
     acct: PlaneAccounting,
 }
@@ -324,9 +350,9 @@ impl MessagePlane for ReliablePlane {
         let s = slot(link, dir);
         if s >= self.queues.len() {
             // lint:allow(hot-path-alloc) first send on a link grows the queue table once; steady state reuses it
-            self.queues.resize_with(s + 1, VecDeque::new);
+            self.queues.resize_with(s + 1, Vec::new);
         }
-        self.queues[s].push_back(msg);
+        self.queues[s].push(msg);
     }
 
     fn deliver_into(&mut self, link: usize, dir: Direction, out: &mut DeliveryBatch) {
@@ -337,7 +363,7 @@ impl MessagePlane for ReliablePlane {
         if q.is_empty() {
             return;
         }
-        out.extend(q.drain(..));
+        std::mem::swap(&mut out.msgs, q);
         self.acct.delivered += out.len() as u64;
         self.acct.delivery_batches += 1;
     }
@@ -345,12 +371,12 @@ impl MessagePlane for ReliablePlane {
     fn queued(&self, link: usize, dir: Direction) -> Vec<Message> {
         self.queues
             .get(slot(link, dir))
-            .map(|q| q.iter().copied().collect())
+            .cloned()
             .unwrap_or_default()
     }
 
     fn queued_len(&self, link: usize, dir: Direction) -> usize {
-        self.queues.get(slot(link, dir)).map_or(0, VecDeque::len)
+        self.queues.get(slot(link, dir)).map_or(0, Vec::len)
     }
 
     fn rpc(&mut self, _link: usize) -> RpcFate {

@@ -338,7 +338,8 @@ impl<P: MessagePlane> UniLru<P> {
     /// boundary from the top, until the plane has nothing due. A cascade
     /// send lands on a higher-numbered link, so on the reliable plane one
     /// ascending pass drains a whole demotion chain in the historical
-    /// in-line order.
+    /// in-line order. An empty link is skipped without a plane call: an
+    /// empty delivery bumps no counter on any plane.
     fn pump(&mut self, demotions: &mut [u32]) {
         // The delivery batch is pooled on the protocol and taken out for
         // the duration of the pump (applying a demote needs `&mut self`).
@@ -346,6 +347,9 @@ impl<P: MessagePlane> UniLru<P> {
         loop {
             let mut any = false;
             for j in 0..self.shared.len() {
+                if self.plane.queued_len(j, Direction::Down) == 0 {
+                    continue;
+                }
                 self.plane.deliver_into(j, Direction::Down, &mut batch);
                 for k in 0..batch.len() {
                     any = true;
@@ -475,9 +479,14 @@ impl<P: MessagePlane> MultiLevelPolicy for UniLru<P> {
         self.plane.tick();
         self.apply_crashes();
         self.maybe_flip_epoch(c);
-        // Apply traffic that became due since the previous reference
-        // (no-op on the reliable plane: its queues drain within an access).
-        self.pump(&mut out.demotions);
+        // Apply traffic that became due since the previous reference. Only
+        // a lossy plane can hold any: on a lossless one the previous
+        // access's trailing pump emptied every level link.
+        if self.plane.lossy() {
+            self.pump(&mut out.demotions);
+        }
+        #[cfg(feature = "debug_invariants")]
+        crate::plane::assert_down_links_drained(&self.plane, self.shared.len());
 
         if self.clients[c].contains(&block) {
             self.clients[c].access(block); // refresh recency only

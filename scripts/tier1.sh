@@ -41,6 +41,17 @@ if ! cargo run -q --release -p ulc-bench --bin ablation -- --scale=default |
   exit 1
 fi
 
+# The same drift gate for the locality measures (about 22 s): Table 1,
+# Figure 2 and Figure 3, each binary's stdout under its `== name ==`
+# header, must print exactly results/measures_default.txt.
+if ! for bin in table1 fig2 fig3; do
+  echo "== $bin =="
+  cargo run -q --release -p ulc-bench --bin "$bin" -- --scale=default
+done | diff -u results/measures_default.txt -; then
+  echo "tier1: measures output drifted from results/measures_default.txt" >&2
+  exit 1
+fi
+
 # Lint gates (ISSUES 5 and 7). The linter's own suite first (parser,
 # call graph, fixtures, CLI), then the workspace pass as a *diff gate*:
 # it fails only on findings whose fingerprint is not in the committed
