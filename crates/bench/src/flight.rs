@@ -336,7 +336,10 @@ fn dump_hists(m: &MetricsRegistry) -> Vec<HistogramDump> {
 
 /// Runs one flight cell: recording + timeline from the first reference,
 /// full conservation and window-conservation checks, full dump.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "labels, engine, trace, window and replay driver all vary per cell; a struct would only restate them"
+)]
 fn flight_cell<P: MultiLevelPolicy + Observe>(
     protocol: &str,
     workload: &str,

@@ -20,9 +20,6 @@
 //! paper scale (hours) or at a reduced reference-count scale (minutes)
 //! with identical footprints and cache-size ratios.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod ablation;
 pub mod alloc_stats;
 pub mod cells;

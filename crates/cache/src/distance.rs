@@ -7,6 +7,9 @@
 //! [`lru_stack_distances`] computes it in O(n log n) on a [`RecencyList`]
 //! (a stamp-keyed Fenwick LRU list), instead of O(n²) list walking.
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::RecencyList;
 use fxhash::FxHashMap;
 use std::hash::Hash;
@@ -185,6 +188,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test-only interning oracle; its hashing cost is never on the replay path"
+    )]
     fn indexed_matches_generic_on_interned_stream() {
         let mut x = 3u64;
         let t: Vec<u64> = (0..2000)

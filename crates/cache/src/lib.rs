@@ -34,9 +34,6 @@
 //! assert!(lru.is_full());
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod distance;
 mod indexed_list;
 mod lirs;

@@ -14,6 +14,9 @@
 //! of resident HIR blocks, stack pruning, and LIR/HIR status exchanges on
 //! low-recency re-references.
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::{CacheEvent, LruStack};
 use fxhash::FxHashMap;
 use std::hash::Hash;
@@ -332,6 +335,10 @@ mod tests {
     }
 
     #[test]
+    #[expect(
+        clippy::disallowed_types,
+        reason = "a test-only reference model; its hashing cost is never on the replay path"
+    )]
     fn hit_iff_resident_model() {
         let mut lirs = Lirs::new(6, 0.34);
         let mut resident = std::collections::HashSet::new();

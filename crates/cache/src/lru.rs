@@ -1,5 +1,8 @@
 //! Keyed LRU stacks and a bounded LRU cache.
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::{LinkedSlab, NodeHandle};
 use fxhash::FxHashMap;
 use std::hash::Hash;

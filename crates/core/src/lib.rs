@@ -60,9 +60,6 @@
 //! assert!(s_ulc.average_access_time(&costs) < s_uni.average_access_time(&costs));
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod multi;
 pub mod parallel;
 pub mod reference;

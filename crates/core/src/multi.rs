@@ -40,6 +40,9 @@
 //! repair. A server crash-and-cold-restart marks every client dirty so
 //! each rebuilds its status table on its next access.
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
 use ulc_cache::{LinkedSlab, NodeHandle};

@@ -52,6 +52,9 @@
 //! back to the serial driver whenever [`MessagePlane::lossy`] reports
 //! the plane can misbehave, so fault-injection runs stay exact.
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
 use crate::UlcMulti;
@@ -154,7 +157,10 @@ fn advance_client_run(cell: &mut Cell) {
 /// deliveries due at that position); every other position runs the full
 /// serial protocol step, with the driver's prefetch pipeline ahead of
 /// the cursor.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "epoch bounds, worker cursors, pooled outcomes and stats are separate borrows held at once"
+)]
 fn commit_epoch<P: MessagePlane>(
     policy: &mut UlcMulti<P>,
     trace: &Trace,

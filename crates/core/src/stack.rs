@@ -32,6 +32,9 @@
 //! trimmed (§3.2: the stack size is bounded by `Yₙ`; §5: cold entries can
 //! be trimmed to bound metadata).
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::scratch::AccessScratch;
 use ulc_cache::{LinkedSlab, NodeHandle};
 use ulc_trace::{BlockId, BlockMap};

@@ -1,7 +1,10 @@
 //! Helpers shared by the integration suites (golden grid, differential
 //! oracles, chaos, observability conservation). Each suite pulls in the subset it
 //! needs via `mod common;`.
-#![allow(dead_code)]
+#![allow(
+    dead_code,
+    reason = "each suite compiles this module on its own and uses a different subset of the helpers"
+)]
 
 use ulc_hierarchy::plane::FaultScenario;
 use ulc_hierarchy::{AccessOutcome, MultiLevelPolicy, SimStats};

@@ -18,6 +18,9 @@
 //! fetch (the block is re-read from disk on its next reference), and a
 //! duplicated order degrades to a refresh of the pending entry.
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
 use crate::stats::FaultSummary;
 use crate::{AccessOutcome, MultiLevelPolicy};

@@ -42,9 +42,6 @@
 //! assert!(su.average_access_time(&costs) < si.average_access_time(&costs));
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod bound;
 mod cost;
 mod demotion_buffer;

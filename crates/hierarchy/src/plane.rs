@@ -33,6 +33,9 @@
 //! `ulc-lint` determinism rule rejects any other randomness source here —
 //! so a scenario replays bit-identically.
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::stats::FaultSummary;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

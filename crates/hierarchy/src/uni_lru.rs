@@ -29,6 +29,9 @@
 //! refresh), drops late demotes that would break exclusivity, and
 //! [`UniLru::reconcile`] repairs any residual duplicate residency.
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
 use crate::stats::FaultSummary;
 use crate::{AccessOutcome, MultiLevelPolicy};

@@ -848,7 +848,6 @@ mod tests {
                 "impl E { fn access_into(&mut self) { self.collect_stats(); } }\n#[cfg(test)]\nmod tests { fn collect_stats() {} }\n",
             ),
             unit("crates/x/src/bin/tool.rs", "fn collect_stats() {}\n"),
-            unit("crates/x/tests/t.rs", "fn collect_stats() {}\n"),
         ];
         let g = CallGraph::build(&files);
         assert!(

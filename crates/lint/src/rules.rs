@@ -1,7 +1,8 @@
 //! The lint rules, the allowlist protocol and the analysis pipeline.
 //!
-//! Nine rule classes guard the repo's headline guarantees (DESIGN.md §5c
-//! and §5g):
+//! Six rule classes guard the source-level preconditions of the repo's
+//! headline guarantees that no rustc or clippy lint can check (DESIGN.md
+//! §5c and §5g):
 //!
 //! * [`RULE_DETERMINISM`] — no iteration over `HashMap`/`HashSet` (their
 //!   order is seeded per-process, so any result derived from it breaks
@@ -10,20 +11,12 @@
 //!   `rand::random`, `from_entropy`, `from_os_rng`, `OsRng` are all
 //!   flagged so fault injection (`FaultyPlane`) stays replayable from its
 //!   scenario seed;
-//! * [`RULE_UNSAFE`] — every `unsafe` token must be justified by a
-//!   `// SAFETY:` comment immediately above it;
 //! * [`RULE_PANIC`] — library code must not `unwrap()`, use `expect`
 //!   without a message, or `panic!`/`unreachable!`/`todo!`/
 //!   `unimplemented!`; the sanctioned form for unreachable states is
 //!   `expect("invariant: …")` with a string-literal message. Sites that
 //!   are *reachable from a per-access root* additionally carry the full
 //!   call-chain trace in their message;
-//! * [`RULE_DOCS`] — public items in library code need doc comments;
-//! * [`RULE_HOT_PATH_MAP`] — the simulation hot-path modules listed in
-//!   [`HOT_PATH_MODULES`] must not reintroduce `std::collections`
-//!   `HashMap`/`HashSet` (SipHash per operation): per-block state belongs
-//!   in `ulc_trace::BlockMap` dense tables or vendored `FxHashMap`
-//!   (see DESIGN.md §5e);
 //! * [`RULE_HOT_PATH_ALLOC`] — *interprocedural*: no function reachable
 //!   from a per-access root (`access_into`/`deliver_into`/
 //!   `take_crashes_into` bodies, plus `// lint:hot-root` marks) may heap
@@ -66,16 +59,10 @@ use std::collections::{BTreeMap, BTreeSet};
 
 /// Rule name: deterministic-iteration and wall-clock/ambient-RNG hygiene.
 pub const RULE_DETERMINISM: &str = "determinism";
-/// Rule name: `unsafe` must carry a `// SAFETY:` comment.
-pub const RULE_UNSAFE: &str = "unsafe-comment";
 /// Rule name: panic hygiene in library code.
 pub const RULE_PANIC: &str = "panic";
-/// Rule name: doc coverage of public items.
-pub const RULE_DOCS: &str = "missing-docs";
 /// Rule name: malformed allowlist comments and dangling markers.
 pub const RULE_ALLOW_SYNTAX: &str = "allow-syntax";
-/// Rule name: std hash tables in simulation hot-path modules.
-pub const RULE_HOT_PATH_MAP: &str = "hot-path-map";
 /// Rule name: heap allocation reachable from a per-access root.
 pub const RULE_HOT_PATH_ALLOC: &str = "hot-path-alloc";
 /// Rule name: allow comments that suppress nothing.
@@ -84,13 +71,10 @@ pub const RULE_DEAD_ALLOW: &str = "dead-allow";
 pub const RULE_PLANE_EXHAUSTIVE: &str = "plane-exhaustive";
 
 /// Every rule the pass knows, in reporting order.
-pub const ALL_RULES: [&str; 9] = [
+pub const ALL_RULES: [&str; 6] = [
     RULE_DETERMINISM,
-    RULE_UNSAFE,
     RULE_PANIC,
-    RULE_DOCS,
     RULE_ALLOW_SYNTAX,
-    RULE_HOT_PATH_MAP,
     RULE_HOT_PATH_ALLOC,
     RULE_DEAD_ALLOW,
     RULE_PLANE_EXHAUSTIVE,
@@ -111,10 +95,6 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              ambient state; both make replays diverge. Use BTreeMap/sorted keys \
              and explicit seeding (StdRng::seed_from_u64).",
         ),
-        RULE_UNSAFE => Some(
-            "Every `unsafe` token needs a `// SAFETY:` comment on the preceding \
-             lines stating the invariant that makes it sound.",
-        ),
         RULE_PANIC => Some(
             "Library code must not unwrap(), call expect without a string-literal \
              message, or use panic!/unreachable!/todo!/unimplemented!. The \
@@ -122,17 +102,11 @@ pub fn explain(rule: &str) -> Option<&'static str> {
              A site reachable from a per-access root also prints the call chain \
              from the root, since a panic there kills the simulation mid-access.",
         ),
-        RULE_DOCS => Some("Public items in library code need doc comments (rustdoc surface)."),
         RULE_ALLOW_SYNTAX => Some(
             "lint:allow(<rule>) / lint:allow-file(<rule>) comments need a known \
              rule name and a non-empty reason; lint:cold-path needs a reason and \
              lint:hot-root/lint:cold-path/lint:exhaustive markers must sit on or \
              directly above the item they govern.",
-        ),
-        RULE_HOT_PATH_MAP => Some(
-            "The per-reference hot-path modules must not use std HashMap/HashSet \
-             (SipHash per operation): per-block state belongs in ulc_trace::BlockMap \
-             dense tables or the vendored FxHashMap (DESIGN.md §5e).",
         ),
         RULE_HOT_PATH_ALLOC => Some(
             "Zero steady-state allocations per access (DESIGN.md §5f): no function \
@@ -161,57 +135,23 @@ pub fn explain(rule: &str) -> Option<&'static str> {
     }
 }
 
-/// Per-reference hot-path modules of the simulation engine: code here
-/// runs for every trace record, so per-block state must use interned
-/// dense tables (`ulc_trace::BlockMap`) or the vendored `FxHashMap` —
-/// never SipHash `std::collections` tables. Matched as path suffixes.
-pub const HOT_PATH_MODULES: [&str; 11] = [
-    "crates/core/src/stack.rs",
-    "crates/core/src/multi.rs",
-    "crates/core/src/parallel.rs",
-    "crates/hierarchy/src/uni_lru.rs",
-    "crates/hierarchy/src/eviction_based.rs",
-    "crates/hierarchy/src/plane.rs",
-    "crates/cache/src/lru.rs",
-    "crates/cache/src/lirs.rs",
-    "crates/cache/src/opt.rs",
-    "crates/cache/src/distance.rs",
-    "crates/trace/src/intern.rs",
-];
-
-/// Whether `path` names one of the [`HOT_PATH_MODULES`].
-fn is_hot_path(path: &str) -> bool {
-    let p = path.replace('\\', "/");
-    HOT_PATH_MODULES.iter().any(|m| p.ends_with(m))
-}
-
 /// How a file participates in the rule set.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum FileKind {
     /// A library source file (`crates/*/src/**`, excluding `bin/`):
     /// every rule applies.
     Library,
-    /// A binary source file (`src/bin/**`, `src/main.rs`): determinism and
-    /// unsafe hygiene apply; panic and doc coverage do not (a CLI may
-    /// abort and needs no rustdoc surface).
+    /// A binary source file (`src/bin/**`, `src/main.rs`): determinism
+    /// applies; panic hygiene does not (a CLI may abort).
     Binary,
-    /// Tests, benches, examples and fixtures: only unsafe hygiene applies
-    /// (tests are free to unwrap and to iterate maps they assert over).
-    Test,
 }
 
 impl FileKind {
-    /// Classifies a repo-relative path.
+    /// Classifies a repo-relative source path. Tests, benches and
+    /// examples are never walked (see [`crate::load_workspace_units`]).
     pub fn classify(path: &str) -> FileKind {
         let p = path.replace('\\', "/");
-        if p.contains("/tests/")
-            || p.contains("/benches/")
-            || p.contains("/examples/")
-            || p.starts_with("tests/")
-            || p.starts_with("examples/")
-        {
-            FileKind::Test
-        } else if p.contains("/bin/") || p.ends_with("/main.rs") || p == "main.rs" {
+        if p.contains("/bin/") || p.ends_with("/main.rs") || p == "main.rs" {
             FileKind::Binary
         } else {
             FileKind::Library
@@ -243,10 +183,6 @@ const MAP_SAFE_METHODS: [&str; 8] = [
     "contains",
     "entry",
     "capacity",
-];
-
-const ITEM_KEYWORDS: [&str; 9] = [
-    "fn", "struct", "enum", "trait", "type", "const", "static", "mod", "union",
 ];
 
 /// One parsed allowlist comment.
@@ -283,16 +219,9 @@ pub fn analyze_file(unit: &FileUnit) -> FileAnalysis {
     diags.append(&mut allow_diags);
     marker_syntax_rule(unit, &mut diags);
 
-    if matches!(unit.kind, FileKind::Library | FileKind::Binary) {
-        determinism_rule(path, file, &in_test, &mut diags);
-    }
-    unsafe_rule(path, file, &mut diags);
+    determinism_rule(path, file, &in_test, &mut diags);
     if unit.kind == FileKind::Library {
         panic_rule(path, file, &in_test, &mut diags);
-        docs_rule(path, file, &in_test, &mut diags);
-        if is_hot_path(path) {
-            hot_path_map_rule(path, file, &in_test, &mut diags);
-        }
     }
     FileAnalysis { diags, allows }
 }
@@ -340,13 +269,8 @@ pub fn lint_units(units: &[FileUnit]) -> Vec<Diagnostic> {
     };
     diags.retain(|d| d.rule == RULE_ALLOW_SYNTAX || !suppress(d, &mut used));
 
-    // Dead allows: library and binary files only — test files share the
-    // allow syntax but run almost no rules, so their allows are prose.
     let mut dead = Vec::new();
     for u in units {
-        if u.kind == FileKind::Test {
-            continue;
-        }
         let (Some(allows), Some(live)) = (allows_by_file.get(&u.path), used.get(&u.path)) else {
             continue;
         };
@@ -675,27 +599,6 @@ fn determinism_rule(path: &str, file: &LexedFile, in_test: &[bool], diags: &mut 
     }
 }
 
-/// Flags `HashMap`/`HashSet` tokens in hot-path modules. `FxHashMap` and
-/// `BTreeMap` idents are distinct tokens and pass untouched; test modules
-/// are exempt like everywhere else.
-fn hot_path_map_rule(path: &str, file: &LexedFile, in_test: &[bool], diags: &mut Vec<Diagnostic>) {
-    for (i, t) in file.tokens.iter().enumerate() {
-        if in_test[i] || !(t.is_ident("HashMap") || t.is_ident("HashSet")) {
-            continue;
-        }
-        diags.push(Diagnostic::new(
-            path,
-            t.line,
-            RULE_HOT_PATH_MAP,
-            &format!(
-                "`{}` in hot-path module; use `ulc_trace::BlockMap` or the vendored \
-                 `FxHashMap`, or justify with `lint:allow(hot-path-map)`",
-                t.text
-            ),
-        ));
-    }
-}
-
 /// Allocating methods (called as `.name(...)`) forbidden on the per-access
 /// call tree.
 const ALLOC_METHODS: [&str; 5] = ["clone", "to_vec", "to_owned", "to_string", "collect"];
@@ -938,28 +841,6 @@ fn annotate_reachable_panics(
     }
 }
 
-fn unsafe_rule(path: &str, file: &LexedFile, diags: &mut Vec<Diagnostic>) {
-    for t in &file.tokens {
-        if !t.is_ident("unsafe") {
-            continue;
-        }
-        let justified = file.comments.iter().any(|c| {
-            c.style == CommentStyle::Line
-                && c.text.trim().starts_with("SAFETY:")
-                && c.end_line <= t.line
-                && t.line <= c.end_line + 3
-        });
-        if !justified {
-            diags.push(Diagnostic::new(
-                path,
-                t.line,
-                RULE_UNSAFE,
-                "`unsafe` without a `// SAFETY:` comment on the preceding lines",
-            ));
-        }
-    }
-}
-
 fn panic_rule(path: &str, file: &LexedFile, in_test: &[bool], diags: &mut Vec<Diagnostic>) {
     let tokens = &file.tokens;
     for (i, t) in tokens.iter().enumerate() {
@@ -1012,98 +893,6 @@ fn panic_rule(path: &str, file: &LexedFile, in_test: &[bool], diags: &mut Vec<Di
     }
 }
 
-fn docs_rule(path: &str, file: &LexedFile, in_test: &[bool], diags: &mut Vec<Diagnostic>) {
-    let tokens = &file.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if in_test[i] || !t.is_ident("pub") {
-            continue;
-        }
-        // Resolve the item keyword after `pub`, skipping `(crate)` &c.
-        let mut j = i + 1;
-        if tokens.get(j).is_some_and(|x| x.is_punct('(')) {
-            // `pub(crate)` / `pub(super)` items are not public API.
-            continue;
-        }
-        while tokens
-            .get(j)
-            .is_some_and(|x| x.is_ident("unsafe") || x.is_ident("async") || x.is_ident("extern"))
-        {
-            j += 1;
-        }
-        let Some(kw) = tokens.get(j) else { continue };
-        let is_item = ITEM_KEYWORDS.contains(&kw.text.as_str());
-        let is_field = kw.kind == TokenKind::Ident
-            && !is_item
-            && kw.text != "use"
-            && tokens.get(j + 1).is_some_and(|x| x.is_punct(':'))
-            && !tokens.get(j + 2).is_some_and(|x| x.is_punct(':'));
-        if !is_item && !is_field {
-            continue;
-        }
-        let what = if is_field {
-            format!("field `{}`", kw.text)
-        } else {
-            let name = tokens
-                .get(j + 1)
-                .map(|x| x.text.clone())
-                .unwrap_or_default();
-            format!("{} `{name}`", kw.text)
-        };
-        // The doc comment must end directly above the item or its first
-        // attribute.
-        let mut first_line = t.line;
-        let mut k = i;
-        while k >= 2 && tokens[k - 1].is_punct(']') {
-            // Walk back over an attribute `#[ … ]`.
-            let mut depth = 0usize;
-            let mut m = k - 1;
-            loop {
-                if tokens[m].is_punct(']') {
-                    depth += 1;
-                } else if tokens[m].is_punct('[') {
-                    depth -= 1;
-                    if depth == 0 {
-                        break;
-                    }
-                }
-                if m == 0 {
-                    break;
-                }
-                m -= 1;
-            }
-            if m >= 1 && tokens[m - 1].is_punct('#') {
-                first_line = tokens[m - 1].line;
-                k = m - 1;
-            } else {
-                break;
-            }
-        }
-        // Lint markers (`lint:cold-path …`, `lint:allow(…)`) may sit
-        // between the doc comment and the item without breaking
-        // adjacency.
-        let mut gap = first_line;
-        while let Some(c) = file.comments.iter().find(|c| {
-            c.style == CommentStyle::Line
-                && c.end_line + 1 == gap
-                && c.text.trim().starts_with("lint:")
-        }) {
-            gap = c.line;
-        }
-        let documented = file.comments.iter().any(|c| {
-            (c.style == CommentStyle::DocOuter && c.end_line + 1 >= gap && c.line < gap)
-                || (c.style == CommentStyle::DocInner && kw.is_ident("mod"))
-        });
-        if !documented {
-            diags.push(Diagnostic::new(
-                path,
-                t.line,
-                RULE_DOCS,
-                &format!("public {what} has no doc comment"),
-            ));
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1122,16 +911,10 @@ mod tests {
             FileKind::classify("crates/cache/src/lru.rs"),
             FileKind::Library
         );
-        assert_eq!(FileKind::classify("crates/cache/tests/p.rs"), FileKind::Test);
-        assert_eq!(
-            FileKind::classify("crates/bench/benches/m.rs"),
-            FileKind::Test
-        );
         assert_eq!(
             FileKind::classify("crates/bench/src/bin/fig1.rs"),
             FileKind::Binary
         );
-        assert_eq!(FileKind::classify("tests/paper_goals.rs"), FileKind::Test);
         assert_eq!(FileKind::classify("src/lib.rs"), FileKind::Library);
     }
 
@@ -1233,36 +1016,12 @@ mod tests {
     }
 
     #[test]
-    fn dead_allow_in_test_files_is_ignored() {
-        let src = "// lint:allow(panic) tests may unwrap anyway\nfn f() {}\n";
-        let d = check_source("crates/x/tests/t.rs", src, FileKind::Test);
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
     fn dead_allow_fires_in_binaries() {
         // Binary files skip the panic rule entirely, so a panic allow
         // there can never suppress anything — it is decorative.
         let src = "// lint:allow(panic) CLI may abort\nfn main() {}\n";
         let d = check_source("crates/bench/src/bin/t.rs", src, FileKind::Binary);
         assert_eq!(rules_of(&d), [RULE_DEAD_ALLOW]);
-    }
-
-    #[test]
-    fn unsafe_without_safety_comment() {
-        let src = "fn f() { unsafe { std::hint::unreachable_unchecked() } }\n";
-        let d = lint(src);
-        assert!(rules_of(&d).contains(&RULE_UNSAFE), "{d:?}");
-    }
-
-    #[test]
-    fn unsafe_with_safety_comment_is_clean() {
-        let src = "fn f(p: *const u8) -> u8 {\n    // SAFETY: caller guarantees p is valid\n    unsafe { *p }\n}\n";
-        let d: Vec<_> = lint(src)
-            .into_iter()
-            .filter(|d| d.rule == RULE_UNSAFE)
-            .collect();
-        assert!(d.is_empty(), "{d:?}");
     }
 
     #[test]
@@ -1319,36 +1078,9 @@ mod tests {
     }
 
     #[test]
-    fn undocumented_pub_items_are_flagged() {
-        let src = "pub fn f() {}\npub struct S { pub x: u32 }\n";
-        let d: Vec<_> = lint(src)
-            .into_iter()
-            .filter(|d| d.rule == RULE_DOCS)
-            .collect();
-        assert_eq!(d.len(), 3, "{d:?}"); // fn f, struct S, field x
-    }
-
-    #[test]
-    fn documented_and_crate_private_items_are_clean() {
-        let src = "/// Does f.\npub fn f() {}\npub(crate) fn g() {}\nfn h() {}\npub use std::fmt;\n/// S.\n#[derive(Debug)]\npub struct S {\n    /// X.\n    pub x: u32,\n}\n";
-        let d: Vec<_> = lint(src)
-            .into_iter()
-            .filter(|d| d.rule == RULE_DOCS)
-            .collect();
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn binary_kind_skips_panic_and_docs() {
+    fn binary_kind_skips_panic() {
         let src = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
         assert!(check_source("src/bin/t.rs", src, FileKind::Binary).is_empty());
-    }
-
-    #[test]
-    fn test_kind_still_checks_unsafe() {
-        let src = "fn f(p: *const u8) -> u8 { unsafe { *p } }\n";
-        let d = check_source("tests/t.rs", src, FileKind::Test);
-        assert_eq!(rules_of(&d), [RULE_UNSAFE]);
     }
 
     #[test]
@@ -1357,56 +1089,6 @@ mod tests {
         let d: Vec<_> = lint(src)
             .into_iter()
             .filter(|d| d.rule == RULE_PANIC || d.rule == RULE_DEAD_ALLOW)
-            .collect();
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn hot_path_std_map_is_flagged() {
-        let src = "fn f() { let m: std::collections::HashMap<u32, u32> = std::collections::HashMap::new(); let _ = m.len(); }\n";
-        let d: Vec<_> = check_source("crates/core/src/stack.rs", src, FileKind::Library)
-            .into_iter()
-            .filter(|d| d.rule == RULE_HOT_PATH_MAP)
-            .collect();
-        assert_eq!(d.len(), 2, "{d:?}"); // the ascription and the constructor
-    }
-
-    #[test]
-    fn hot_path_rule_skips_other_modules() {
-        let src = "fn f() { let m: std::collections::HashMap<u32, u32> = std::collections::HashMap::new(); let _ = m.len(); }\n";
-        let d: Vec<_> = check_source("crates/bench/src/fig6.rs", src, FileKind::Library)
-            .into_iter()
-            .filter(|d| d.rule == RULE_HOT_PATH_MAP)
-            .collect();
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn hot_path_fx_and_btree_maps_are_clean() {
-        let src = "fn f() { let m: FxHashMap<u32, u32> = FxHashMap::default(); let b: std::collections::BTreeMap<u32, u32> = std::collections::BTreeMap::new(); let _ = (m.len(), b.len()); }\n";
-        let d: Vec<_> = check_source("crates/hierarchy/src/plane.rs", src, FileKind::Library)
-            .into_iter()
-            .filter(|d| d.rule == RULE_HOT_PATH_MAP)
-            .collect();
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn hot_path_allow_comment_suppresses() {
-        let src = "// lint:allow(hot-path-map) retained reference representation\nfn f() { let m: std::collections::HashMap<u32, u32> = std::collections::HashMap::new(); let _ = m.len(); }\n";
-        let d: Vec<_> = check_source("crates/trace/src/intern.rs", src, FileKind::Library)
-            .into_iter()
-            .filter(|d| d.rule == RULE_HOT_PATH_MAP || d.rule == RULE_ALLOW_SYNTAX)
-            .collect();
-        assert!(d.is_empty(), "{d:?}");
-    }
-
-    #[test]
-    fn hot_path_test_modules_are_exempt() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn f() { let m = std::collections::HashMap::new(); let _ = m.len(); }\n}\n";
-        let d: Vec<_> = check_source("crates/cache/src/lirs.rs", src, FileKind::Library)
-            .into_iter()
-            .filter(|d| d.rule == RULE_HOT_PATH_MAP)
             .collect();
         assert!(d.is_empty(), "{d:?}");
     }

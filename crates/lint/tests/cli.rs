@@ -111,10 +111,10 @@ impl Drop for Scratch {
 }
 
 /// One pre-existing finding: `unwrap` in library code.
-const SEEDED: &str = "/// Doc.\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+const SEEDED: &str = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
 /// The seeded finding plus a new one in a second function.
-const GROWN: &str = "/// Doc.\npub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-                     /// Doc.\npub fn g(x: Option<u8>) -> u8 { x.expect(\"\") }\n";
+const GROWN: &str = "pub fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
+                     pub fn g(x: Option<u8>) -> u8 { x.expect(\"\") }\n";
 
 #[test]
 fn baseline_gate_passes_on_known_findings_and_fails_on_new_ones() {
@@ -153,7 +153,7 @@ fn baseline_gate_passes_on_known_findings_and_fails_on_new_ones() {
 #[test]
 fn json_report_is_written_even_when_clean() {
     let ws = Scratch::new("json");
-    ws.write("crates/x/src/lib.rs", "/// Doc.\npub fn ok() {}\n");
+    ws.write("crates/x/src/lib.rs", "pub fn ok() {}\n");
     let root = format!("--root={}", ws.path().display());
     let json = ws.path().join("results/lint.json");
     let out = run(&[&root, &format!("--json={}", json.display())]);

@@ -84,28 +84,6 @@ impl ReuseHistogram {
         self.cold as f64 / self.total.max(1) as f64
     }
 
-    /// Adds `other`'s tallies into `self` — the fold for histograms
-    /// computed over split traces by parallel sweep workers. Associative
-    /// and commutative, and bucket counts are conserved: merging the
-    /// histograms of a partition of accesses gives the same per-bucket
-    /// counts as one histogram of the concatenation *only* when the split
-    /// does not sever reuse pairs, so callers split on trace boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the histograms were computed with different bucket edges.
-    pub fn merge(&mut self, other: &ReuseHistogram) {
-        assert_eq!(
-            self.edges, other.edges,
-            "cannot merge histograms with different bucket edges"
-        );
-        for (c, o) in self.counts.iter_mut().zip(other.counts.iter()) {
-            *c += o;
-        }
-        self.cold += other.cold;
-        self.total += other.total;
-    }
-
     /// The aggregate hit rate an exclusive recency-based hierarchy of
     /// these capacities could reach: everything but the final bucket and
     /// the cold misses.

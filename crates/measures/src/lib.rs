@@ -31,9 +31,6 @@
 //! assert!(lld_r.mean_movement_ratio() < r.mean_movement_ratio());
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod analysis;
 mod histogram;
 mod measure;

@@ -33,9 +33,6 @@
 //! `sample_window`, `span_end` are hot roots) to keep it that way. See
 //! DESIGN.md §5h and §5j.
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 pub mod check;
 pub mod event;
 pub mod handle;

@@ -31,6 +31,9 @@
 //! where order is behaviourally irrelevant (the same rule the workspace
 //! lint enforces for hash maps).
 
+// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
+#![warn(clippy::disallowed_types)]
+
 use crate::{BlockId, Trace};
 use fxhash::FxHashMap;
 use ulc_cache::{NodeHandle, NodeLocator};

@@ -29,9 +29,6 @@
 //! assert!(stats.unique_blocks <= 10_000);
 //! ```
 
-#![warn(missing_docs)]
-#![warn(missing_debug_implementations)]
-
 mod block;
 pub mod epoch;
 pub mod intern;

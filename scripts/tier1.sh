@@ -6,7 +6,22 @@ cd "$(dirname "$0")/.."
 
 cargo build --release
 cargo test -q --workspace
+
+# Built-in lint wall, set in the root [workspace.lints] table and
+# clippy.toml (DESIGN.md §5c): doc coverage, `// SAFETY:` comments on
+# unsafe blocks, unsafe operations inside `unsafe fn` bodies, std hash
+# tables in the hot modules, and reasoned `#[expect]` suppressions that
+# must still be fulfilled. Clippy sees only compiled code, so it runs
+# again with every feature on: the `alloc_stats` allocator's unsafe impl
+# and the `obs` recording path exist only there.
 cargo clippy --workspace --all-targets -- -D warnings
+cargo clippy --workspace --all-targets --all-features -- -D warnings
+
+# The committed mutants (scripts/mutants/, DESIGN.md §5c) must still apply
+# to this tree, so an edit next to a mutated line fails here rather than at
+# the next scripts/mutants.sh run. Only that script, run by hand because
+# it rebuilds once per mutant, proves each one is caught.
+for p in scripts/mutants/*.patch; do git apply --check "$p"; done
 cargo test --features debug_invariants -q
 
 # Golden SimStats grid (crates/core/tests/golden/sim_stats.txt): every

@@ -27,8 +27,6 @@
 //! assert!(t_ave < CostModel::paper_three_level().miss_time_ms);
 //! ```
 
-#![warn(missing_docs)]
-
 pub use ulc_cache as cache;
 pub use ulc_core as core;
 pub use ulc_hierarchy as hierarchy;
