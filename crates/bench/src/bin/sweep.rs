@@ -3,7 +3,7 @@
 //!
 //! Usage: `sweep [--scale=smoke|default|full] [--json=<path>]
 //! [--faults=<scenario>] [--bench-json=<path>]
-//! [--bench-baseline=<path>] [--bench-only] [--threads=<n>[,<n>...]]`.
+//! [--bench-baseline=<path>] [--bench-only]`.
 //!
 //! The figure renders go to stdout in a fixed order; the
 //! [`ulc_bench::sweep::SweepSummary`] (threads, wall/cpu milliseconds,
@@ -18,8 +18,9 @@
 //!
 //! `--bench-json=<path>` runs the E9 engine-throughput study
 //! ([`ulc_bench::throughput`]) and writes the report (accesses/sec per
-//! protocol × workload × trace size) to the given path —
-//! `BENCH_sim.json` at the repo root by convention.
+//! protocol × workload × trace size, sharded ULC-multi cells at 2 and 8
+//! threads) to the given path — `BENCH_sim.json` at the repo root by
+//! convention.
 //! `--bench-baseline=<path>` additionally compares the fresh report
 //! against a checked-in baseline and exits non-zero if any
 //! accesses/sec rate regressed by more than 25%, or if a wide sharded
@@ -27,17 +28,11 @@
 //! baseline rate). `--bench-only` skips the figure sweep so CI can gate
 //! throughput quickly.
 //!
-//! `--threads=<n>[,<n>...]` sets the shard counts of the sharded
-//! ULC-multi cells (default `2,8`). Every trace is generated from a
-//! fixed seed and the sharded executor is bit-identical to the serial
-//! driver at any shard count, so the flag changes wall-clock columns
-//! only, never results. The checked-in baseline carries rows for the
-//! default counts, so the gates expect the default list.
-//!
 //! When built with the `obs` feature the allocation profile of every
-//! row runs with a live recorder attached, so the `alloc_stats` gate
-//! holds the instrumented hot path to the same zero-allocation contract.
-//! The observability report itself is `obs-tool export`
+//! serial row runs with a live recorder attached, so the `alloc_stats`
+//! gate holds the instrumented hot path to the same zero-allocation
+//! contract. Sharded rows profile without one: sharded replay cannot
+//! record. The observability report itself is `obs-tool export`
 //! ([`ulc_bench::flight`]).
 
 use ulc_bench::sweep::Sweep;
@@ -71,25 +66,10 @@ const MAX_BENCH_REGRESSION: f64 = 0.25;
 /// baseline rate of its cell (the E11 acceptance floor).
 const MIN_SHARD_SPEEDUP: f64 = 2.0;
 
-/// Parses `--threads=<n>[,<n>...]` into the sharded cells' shard counts,
-/// defaulting to [`throughput::DEFAULT_THREAD_COUNTS`].
-fn thread_counts_from_args() -> Vec<usize> {
-    let Some(list) = arg_value("--threads=") else {
-        return throughput::DEFAULT_THREAD_COUNTS.to_vec();
-    };
-    list.split(',')
-        .map(|s| {
-            s.trim()
-                .parse()
-                .unwrap_or_else(|e| panic!("bad --threads value {s:?}: {e}"))
-        })
-        .collect()
-}
-
 /// Runs the E9 throughput study, writes the report, and applies the
 /// baseline gate. Returns `false` if the gate failed.
 fn run_bench(scale: Scale, json: Option<&str>, baseline: Option<&str>) -> bool {
-    let report = throughput::run_with_threads(scale, &thread_counts_from_args());
+    let report = throughput::run(scale);
     println!("{}", throughput::render(&report));
     if let Some(path) = json {
         let file = std::fs::File::create(path)

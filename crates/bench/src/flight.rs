@@ -6,9 +6,8 @@
 //! [`ulc_obs::TimelineSampler`] attached from the first reference —
 //! ULC, uniLRU, indLRU, evict-reload, MQ and a buffered uniLRU on
 //! loop-100k, the ULC/uniLRU warm-up pair on tpcc1, and ULC-multi on
-//! httpd-multi, serially and under a sharded (shards=4) leg whose folded
-//! timeline is bit-identical to the serial driver's. Each cell's
-//! recorded ledger is reconciled against its `SimStats` and its window
+//! httpd-multi, each through the serial driver. Each cell's recorded
+//! ledger is reconciled against its `SimStats` and its window
 //! sums against the whole-run registry, and the whole recorder state is
 //! dumped into a versioned [`FlightExport`]: final counters, per-window
 //! registries, the event ring's tail, and span-cost histograms.
@@ -28,16 +27,13 @@ use crate::cells::{
 };
 use crate::Scale;
 use serde::{Deserialize, Serialize, Value};
-use ulc_core::parallel::simulate_sharded;
 use ulc_core::{UlcConfig, UlcSingle};
-use ulc_hierarchy::{
-    simulate, DemotionBuffer, IndLru, LruMqServer, MultiLevelPolicy, SimStats, UniLru,
-};
+use ulc_hierarchy::{simulate, DemotionBuffer, IndLru, LruMqServer, MultiLevelPolicy, UniLru};
 use ulc_obs::{check, CounterId, HistId, MetricsRegistry, Observe, SpanCostModel};
 use ulc_trace::{synthetic, Trace};
 
 /// Schema version of [`FlightExport`]; bump on breaking layout changes.
-pub const FLIGHT_VERSION: u64 = 1;
+pub const FLIGHT_VERSION: u64 = 2;
 
 /// Event-ring slots per flight cell. Large enough that the smoke cells
 /// keep complete streams; counters stay exact even when longer runs
@@ -140,8 +136,6 @@ pub struct FlightCell {
     pub protocol: String,
     /// Workload the cell ran.
     pub workload: String,
-    /// Shards the replay executor used (1 = the serial driver).
-    pub shards: usize,
     /// References simulated (warm-up 0).
     pub refs: usize,
     /// True when ticks past the last window were clamped into it.
@@ -191,8 +185,6 @@ pub struct ProtocolCurve {
     pub protocol: String,
     /// Workload name.
     pub workload: String,
-    /// Shard count of the cell.
-    pub shards: usize,
     /// Per-window points, in tick order.
     pub points: Vec<HitRatePoint>,
 }
@@ -223,8 +215,6 @@ pub struct DemotionBurstiness {
     pub protocol: String,
     /// Workload name.
     pub workload: String,
-    /// Shard count of the cell.
-    pub shards: usize,
     /// Most demotions any single window saw.
     pub max_window_demotions: u64,
     /// Index of that peak window (first such window on ties).
@@ -243,8 +233,6 @@ pub struct SpanCostPercentiles {
     pub protocol: String,
     /// Workload name.
     pub workload: String,
-    /// Shard count of the cell.
-    pub shards: usize,
     /// Spans with nonzero cost (pure top-level hits record none).
     pub count: u64,
     /// Total modeled cost over the run.
@@ -334,27 +322,22 @@ fn dump_hists(m: &MetricsRegistry) -> Vec<HistogramDump> {
         .collect()
 }
 
-/// Runs one flight cell: recording + timeline from the first reference,
-/// full conservation and window-conservation checks, full dump.
-#[expect(
-    clippy::too_many_arguments,
-    reason = "labels, engine, trace, window and replay driver all vary per cell; a struct would only restate them"
-)]
+/// Runs one flight cell through the serial driver: recording + timeline
+/// from the first reference, full conservation and window-conservation
+/// checks, full dump.
 fn flight_cell<P: MultiLevelPolicy + Observe>(
     protocol: &str,
     workload: &str,
-    shards: usize,
     check_residency: bool,
     mut policy: P,
     trace: &Trace,
     window_len: u64,
-    run: impl FnOnce(&mut P, &Trace) -> SimStats,
 ) -> FlightCell {
     let levels = policy.num_levels();
     policy.obs_mut().enable(levels, FLIGHT_RING_CAPACITY);
     let capacity = (trace.len() as u64 / window_len + 1) as usize;
     policy.obs_mut().enable_timeline(window_len, capacity);
-    let stats = run(&mut policy, trace);
+    let stats = simulate(&mut policy, trace, 0);
     let f = &stats.faults;
     policy.obs_mut().add_plane_faults(
         f.messages_dropped
@@ -369,7 +352,6 @@ fn flight_cell<P: MultiLevelPolicy + Observe>(
         return FlightCell {
             protocol: protocol.to_string(),
             workload: workload.to_string(),
-            shards,
             refs: trace.len(),
             truncated: false,
             counters: Vec::new(),
@@ -437,7 +419,6 @@ fn flight_cell<P: MultiLevelPolicy + Observe>(
     FlightCell {
         protocol: protocol.to_string(),
         workload: workload.to_string(),
-        shards,
         refs: trace.len(),
         truncated: timeline.truncated(),
         counters: dump_counters(m),
@@ -451,12 +432,6 @@ fn flight_cell<P: MultiLevelPolicy + Observe>(
         window_conservation,
         residency,
     }
-}
-
-/// The serial driver, as a generic fn item so every cell type can use
-/// it as its runner.
-fn serial<P: MultiLevelPolicy>(policy: &mut P, trace: &Trace) -> SimStats {
-    simulate(policy, trace, 0)
 }
 
 /// References per cell at each scale, kept short because every cell
@@ -475,8 +450,8 @@ pub fn collect(scale: Scale) -> FlightExport {
     collect_sized(flight_refs(scale), 0)
 }
 
-/// Collects the flight export: the seven serial protocol cells of the
-/// conservation suite plus a sharded (shards=4) ULC-multi leg, each over
+/// Collects the flight export: the seven protocols of the conservation
+/// suite plus the tpcc1 ULC/uniLRU warm-up pair, nine cells, each over
 /// `refs` references with a shared timeline window of `window_len`
 /// ticks (0 = auto: `refs / DEFAULT_WINDOWS`).
 pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
@@ -490,62 +465,50 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
     let mut cells = vec![flight_cell(
         "ULC",
         "loop-100k",
-        1,
         true,
         ulc_loop(),
         &loop_trace,
         window_len,
-        serial,
     )];
     cells.push(flight_cell(
         "uniLRU",
         "loop-100k",
-        1,
         false,
         unilru_loop(),
         &loop_trace,
         window_len,
-        serial,
     ));
     cells.push(flight_cell(
         "indLRU",
         "loop-100k",
-        1,
         false,
         IndLru::single_client(LOOP_CAPS.to_vec()),
         &loop_trace,
         window_len,
-        serial,
     ));
     cells.push(flight_cell(
         "evict-reload",
         "loop-100k",
-        1,
         false,
         evict_reload_loop(),
         &loop_trace,
         window_len,
-        serial,
     ));
     cells.push(flight_cell(
         "MQ",
         "loop-100k",
-        1,
         false,
         LruMqServer::new(vec![LOOP_CAPS[0]], LOOP_CAPS[1]),
         &loop_trace,
         window_len,
-        serial,
     ));
     cells.push(flight_cell(
         "buffered",
         "loop-100k",
-        1,
         false,
         DemotionBuffer::new(unilru_loop(), 64, 0.5),
         &loop_trace,
         window_len,
-        serial,
     ));
     // The warm-up pair (EXPERIMENTS.md E12): tpcc1's dominant 11k-block
     // loop under two 6 400-block caches is the paper's signature split —
@@ -556,42 +519,26 @@ pub fn collect_sized(refs: usize, window_len: u64) -> FlightExport {
     cells.push(flight_cell(
         "ULC",
         "tpcc1",
-        1,
         true,
         UlcSingle::new(UlcConfig::new(vec![6_400, 6_400])),
         &tpcc,
         window_len,
-        serial,
     ));
     cells.push(flight_cell(
         "uniLRU",
         "tpcc1",
-        1,
         false,
         UniLru::single_client(vec![6_400, 6_400]),
         &tpcc,
         window_len,
-        serial,
     ));
     cells.push(flight_cell(
         "ULC-multi",
         "httpd-multi",
-        1,
         false,
         ulc_multi_httpd(),
         &httpd,
         window_len,
-        serial,
-    ));
-    cells.push(flight_cell(
-        "ULC-multi",
-        "httpd-multi",
-        4,
-        false,
-        ulc_multi_httpd(),
-        &httpd,
-        window_len,
-        |policy, trace| simulate_sharded(policy, trace, 0, 4),
     ));
     let derived = derive_report(&cells);
     FlightExport {
@@ -651,18 +598,18 @@ fn cumulative_l0(cell: &FlightCell) -> Vec<(u64, u64)> {
         .collect()
 }
 
-/// ULC-vs-uniLRU warm-up crossover: for each serial ULC cell paired
-/// with the serial uniLRU cell on the *same workload*, the first window
+/// ULC-vs-uniLRU warm-up crossover: for each ULC cell paired with the
+/// uniLRU cell on the *same workload*, the first window
 /// from which ULC's cumulative L1 hit rate stays strictly above
 /// uniLRU's for the remainder of the run. Returns the first pair (in
 /// cell order) that crosses — on an adversarial workload where both sit
 /// at zero L1 hits (e.g. a loop larger than every cache) there is no
 /// lead, and the scan moves on to the next pair.
 fn find_crossover(cells: &[FlightCell]) -> Option<CrossoverPoint> {
-    for ulc in cells.iter().filter(|c| c.protocol == "ULC" && c.shards == 1) {
+    for ulc in cells.iter().filter(|c| c.protocol == "ULC") {
         let Some(uni) = cells
             .iter()
-            .find(|c| c.protocol == "uniLRU" && c.shards == 1 && c.workload == ulc.workload)
+            .find(|c| c.protocol == "uniLRU" && c.workload == ulc.workload)
         else {
             continue;
         };
@@ -700,7 +647,6 @@ pub fn derive_report(cells: &[FlightCell]) -> DerivedReport {
         .map(|c| ProtocolCurve {
             protocol: c.protocol.clone(),
             workload: c.workload.clone(),
-            shards: c.shards,
             points: c
                 .windows
                 .iter()
@@ -730,7 +676,6 @@ pub fn derive_report(cells: &[FlightCell]) -> DerivedReport {
             DemotionBurstiness {
                 protocol: c.protocol.clone(),
                 workload: c.workload.clone(),
-                shards: c.shards,
                 max_window_demotions: max,
                 peak_window: peak,
                 total_demotions: total,
@@ -751,7 +696,6 @@ pub fn derive_report(cells: &[FlightCell]) -> DerivedReport {
             SpanCostPercentiles {
                 protocol: c.protocol.clone(),
                 workload: c.workload.clone(),
-                shards: c.shards,
                 count: h.count,
                 total: h.total,
                 p50: percentile_lower_bound(h, 50),
@@ -798,7 +742,7 @@ pub fn verify_export(e: &FlightExport) -> Vec<String> {
         errs.push(format!("schema version {} (tool expects {FLIGHT_VERSION})", e.version));
     }
     for c in &e.cells {
-        let tag = format!("{}/{} x{}", c.protocol, c.workload, c.shards);
+        let tag = format!("{}/{}", c.protocol, c.workload);
         if c.conservation != "ok" {
             errs.push(format!("{tag}: conservation: {}", c.conservation));
         }
@@ -903,7 +847,7 @@ pub fn chrome_trace(e: &FlightExport) -> String {
                 "args",
                 obj(vec![(
                     "name",
-                    s(format!("{}/{} x{}", cell.protocol, cell.workload, cell.shards)),
+                    s(format!("{}/{}", cell.protocol, cell.workload)),
                 )]),
             ),
         ]));
@@ -999,7 +943,7 @@ pub fn render_report(e: &FlightExport) -> String {
         }
         out.push_str(&format!(
             "  {:<26}{cols}\n",
-            format!("{}/{} x{}", curve.protocol, curve.workload, curve.shards)
+            format!("{}/{}", curve.protocol, curve.workload)
         ));
     }
     out.push('\n');
@@ -1018,7 +962,7 @@ pub fn render_report(e: &FlightExport) -> String {
         let mean = if b.windows == 0 { 0 } else { b.total_demotions / b.windows as u64 };
         out.push_str(&format!(
             "  {:<26}peak {:>8} @ window {:<5} mean {:>8} total {:>10}\n",
-            format!("{}/{} x{}", b.protocol, b.workload, b.shards),
+            format!("{}/{}", b.protocol, b.workload),
             b.max_window_demotions,
             b.peak_window,
             mean,
@@ -1029,7 +973,7 @@ pub fn render_report(e: &FlightExport) -> String {
     for p in &e.derived.span_cost {
         out.push_str(&format!(
             "  {:<26}n {:>9} total {:>12} p50 {:>6} p90 {:>6} p99 {:>6}\n",
-            format!("{}/{} x{}", p.protocol, p.workload, p.shards),
+            format!("{}/{}", p.protocol, p.workload),
             p.count,
             p.total,
             p.p50,
@@ -1084,7 +1028,6 @@ mod tests {
         FlightCell {
             protocol: protocol.into(),
             workload: "w".into(),
-            shards: 1,
             refs: 10 * windows.len(),
             truncated: false,
             counters: vec![
@@ -1217,26 +1160,13 @@ mod tests {
     fn tiny_live_collect_is_internally_consistent() {
         let export = collect_sized(4_000, 250);
         assert_eq!(export.version, FLIGHT_VERSION);
-        assert_eq!(export.cells.len(), 10);
+        assert_eq!(export.cells.len(), 9);
         assert_eq!(verify_export(&export), Vec::<String>::new());
-        // The serial and sharded ULC-multi cells dump identical windows.
-        let serial = export
-            .cells
-            .iter()
-            .find(|c| c.protocol == "ULC-multi" && c.shards == 1)
-            .expect("serial multi cell");
-        let sharded = export
-            .cells
-            .iter()
-            .find(|c| c.protocol == "ULC-multi" && c.shards == 4)
-            .expect("sharded multi cell");
-        assert_eq!(serial.windows, sharded.windows, "fold must be bit-identical");
-        assert_eq!(serial.counters, sharded.counters);
         // At this scale the rings hold whole streams, so the residency
         // replay runs on both ULC cells (and verifies) and on no other.
         for c in &export.cells {
             let want = if c.protocol == "ULC" { "verified" } else { "n/a" };
-            assert_eq!(c.residency, want, "{}/{} x{}", c.protocol, c.workload, c.shards);
+            assert_eq!(c.residency, want, "{}/{}", c.protocol, c.workload);
         }
         assert_eq!(export.cells.iter().filter(|c| c.protocol == "ULC").count(), 2);
         // The whole export round-trips and still verifies.

@@ -2,7 +2,7 @@
 //!
 //! Every cell times `simulate` of one protocol over one trace
 //! (best-of-N) and, for the multi-client engine, the sharded executor at
-//! each requested shard count. A row's `speedup` is its rate over the
+//! 2 and 8 shards. A row's `speedup` is its rate over the
 //! same run's live serial rate of that cell: `1.0` on serial rows, the
 //! parallel scaling factor on sharded ones.
 //!
@@ -27,9 +27,9 @@ use ulc_hierarchy::{simulate, AccessOutcome, MultiLevelPolicy, SimStats, UniLru}
 use ulc_obs::Observe;
 use ulc_trace::{synthetic, Trace};
 
-/// Shard counts the sharded ULC-multi cells are measured at by default
-/// (E11's scaling curve); `--threads=` on the sweep binary overrides.
-pub const DEFAULT_THREAD_COUNTS: [usize; 2] = [2, 8];
+/// Shard counts the sharded ULC-multi cells are measured at (E11's
+/// scaling curve); the checked-in baseline carries rows for each.
+const THREAD_COUNTS: [usize; 2] = [2, 8];
 
 /// One protocol × workload × trace-size measurement.
 #[derive(Clone, Debug, Serialize, Deserialize)]
@@ -179,14 +179,14 @@ fn best_sharded_aps<F: Fn() -> UlcMulti>(build: F, trace: &Trace, threads: usize
 /// thread-local counters do not observe the worker threads — by design
 /// the workers only advance pre-reserved client stacks through
 /// pre-filled runs, so the coordinator is where allocation pressure
-/// would surface.
+/// would surface. No recorder is attached: sharded replay cannot
+/// record.
 fn alloc_profile_sharded<F: Fn() -> UlcMulti>(build: F, trace: &Trace, threads: usize) -> (f64, f64) {
     if !alloc_stats::enabled() || trace.is_empty() {
         return (0.0, 0.0);
     }
     let mut policy = build();
     let levels = policy.num_levels();
-    policy.obs_mut().enable(levels, FLIGHT_RING_CAPACITY);
     let mut replayer = ShardedReplayer::new(trace, threads);
     let warmup = trace.warmup_len();
     let split = trace.len() * 9 / 10;
@@ -197,7 +197,6 @@ fn alloc_profile_sharded<F: Fn() -> UlcMulti>(build: F, trace: &Trace, threads: 
     alloc_stats::reset();
     replayer.replay_range(&mut policy, trace, split, trace.len(), warmup, &mut stats);
     let steady = alloc_stats::snapshot();
-    replayer.fold_obs(&mut policy);
     std::hint::black_box(&stats);
     (
         warm.allocs as f64 / split.max(1) as f64,
@@ -264,17 +263,11 @@ where
 /// enough that per-block tables dominate the per-reference cost.
 /// `zipf-small` covers the skewed small-footprint regime and `httpd-multi`/`db2-multi` the
 /// multi-client ULC engine with its message plane, each additionally
-/// measured under the sharded executor at [`DEFAULT_THREAD_COUNTS`].
+/// measured under the sharded executor at `THREAD_COUNTS`. Thread
+/// counts never change results — the executor is bit-identical to the
+/// serial driver at any count, which `crates/core/tests/parallel_replay.rs`
+/// proves — only the wall-clock.
 pub fn run(scale: Scale) -> ThroughputReport {
-    run_with_threads(scale, &DEFAULT_THREAD_COUNTS)
-}
-
-/// [`run`] with explicit shard counts for the sharded ULC-multi cells
-/// (the sweep binary's `--threads=` flag). An empty list skips the
-/// sharded cells entirely. Thread counts never change results — the
-/// executor is bit-identical to the serial driver at any count, which
-/// `crates/core/tests/parallel_replay.rs` proves — only the wall-clock.
-pub fn run_with_threads(scale: Scale, thread_counts: &[usize]) -> ThroughputReport {
     let mut rows = Vec::new();
     for refs in trace_sizes(scale) {
         let looping = cells::loop_100k(refs);
@@ -293,7 +286,7 @@ pub fn run_with_threads(scale: Scale, thread_counts: &[usize]) -> ThroughputRepo
         let multi = synthetic::httpd_multi(refs);
         rows.push(measure("ULC-multi", "httpd-multi", &multi, cells::ulc_multi_httpd));
         let httpd_serial_aps = rows.last().expect("row just pushed").interned_aps;
-        for &threads in thread_counts {
+        for threads in THREAD_COUNTS {
             rows.push(measure_sharded(
                 "ULC-multi",
                 "httpd-multi",
@@ -314,7 +307,7 @@ pub fn run_with_threads(scale: Scale, thread_counts: &[usize]) -> ThroughputRepo
         let db2_build = || UlcMulti::new(UlcMultiConfig::uniform(8, 1024, 8192));
         rows.push(measure("ULC-multi", "db2-multi", &db2, db2_build));
         let db2_serial_aps = rows.last().expect("row just pushed").interned_aps;
-        for &threads in thread_counts {
+        for threads in THREAD_COUNTS {
             rows.push(measure_sharded(
                 "ULC-multi",
                 "db2-multi",

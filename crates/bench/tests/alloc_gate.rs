@@ -160,31 +160,3 @@ fn settled_engines_do_not_allocate_per_access_while_recording() {
         "ULC-multi allocated while recording"
     );
 }
-
-/// The sharded executor under a live recorder with a windowed timeline
-/// attached: the global-tick stamping and the per-epoch fold both run
-/// on the orchestrating thread, and neither may touch the allocator in
-/// the steady phase — window merges are in-place over the pre-allocated
-/// registries and span costs batch into a plain counter.
-#[cfg(feature = "obs")]
-#[test]
-fn sharded_replay_steady_phase_does_not_allocate_while_recording() {
-    let trace = synthetic::httpd_multi(40_000);
-    let mut policy = UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048));
-    let levels = policy.num_levels();
-    policy.obs_mut().enable(levels, 1 << 12);
-    policy.obs_mut().enable_timeline(1_000, 64);
-    let mut replayer = ShardedReplayer::new(&trace, 4);
-    let mut stats = SimStats::new(4);
-    let warmup = trace.warmup_len();
-    let split = trace.len() - trace.len() / 10;
-    replayer.replay_range(&mut policy, &trace, 0, split, warmup, &mut stats);
-    reset();
-    replayer.replay_range(&mut policy, &trace, split, trace.len(), warmup, &mut stats);
-    let snap = snapshot();
-    std::hint::black_box(&stats);
-    assert_eq!(
-        snap.allocs, 0,
-        "sharded steady phase allocated while recording"
-    );
-}

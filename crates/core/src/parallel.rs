@@ -43,14 +43,17 @@
 //! only reorders *private-level* entries, so the two operations commute
 //! on the `uniLRUstack` and neither consumes recency stamps out of
 //! order. The differential suite (`tests/parallel_replay.rs`) asserts
-//! the resulting [`SimStats`] and folded metrics are bit-identical to
-//! the serial driver at 1, 2 and 8 shards; `scripts/tier1.sh` gates on a
-//! seeded 2-shard run of the same oracle.
+//! the resulting [`SimStats`] are bit-identical to the serial driver at
+//! 1, 2 and 8 shards; `scripts/tier1.sh` gates on a seeded 2-shard run
+//! of the same oracle.
 //!
 //! Faulty planes can crash levels, lose requests and set status tables
 //! dirty — none of which commutes. [`simulate_sharded`] therefore falls
 //! back to the serial driver whenever [`MessagePlane::lossy`] reports
-//! the plane can misbehave, so fault-injection runs stay exact.
+//! the plane can misbehave, so fault-injection runs stay exact. It also
+//! falls back when the policy has a recorder attached: a recorder's
+//! tick advances once per access in trace order, so an observed run is
+//! replayed by the one driver that issues accesses in that order.
 
 // Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
 #![warn(clippy::disallowed_types)]
@@ -63,15 +66,9 @@ use std::sync::{Arc, Barrier, Mutex};
 use std::thread::JoinHandle;
 use ulc_hierarchy::plane::MessagePlane;
 use ulc_hierarchy::{simulate, AccessOutcome, MultiLevelPolicy, SimStats, PREFETCH_DISTANCE};
-use ulc_obs::{Observe, ObsHandle};
-use ulc_trace::epoch::{EpochRuns, ReplayPlan, RunRef, DEFAULT_EPOCH_LEN};
-use ulc_trace::Trace;
-
-/// Ring capacity for each worker-shard recorder when observability is
-/// on. Shard recorders exist to keep the *metrics* registry exact (it is
-/// folded into the policy's recorder after the replay); the event ring
-/// is a small sampling window, so a modest power of two suffices.
-const SHARD_OBS_CAPACITY: usize = 1 << 10;
+use ulc_obs::Observe;
+use ulc_trace::epoch::{EpochRuns, ReplayPlan, DEFAULT_EPOCH_LEN};
+use ulc_trace::{BlockId, Trace};
 
 /// Per-client state lent to a worker thread for the parallel phase of an
 /// epoch.
@@ -81,12 +78,8 @@ struct Cell {
     /// swapped in and out around the phase).
     stack: UniLruStack,
     scratch: AccessScratch,
-    /// Shard-local recorder: consumed accesses record their hooks here,
-    /// and the registries are merged into the policy's recorder at fold
-    /// time. Disabled (no-op) unless the policy's recorder is enabled.
-    obs: ObsHandle,
-    /// The client's run for the current epoch (block + global position).
-    run: Vec<RunRef>,
+    /// The client's run for the current epoch.
+    run: Vec<BlockId>,
     /// How many leading references of `run` the worker consumed.
     done: usize,
 }
@@ -118,8 +111,7 @@ fn worker_loop(shared: &Shared, me: usize) {
 }
 
 /// Advances one client's `uniLRUstack` through the longest prefix of its
-/// epoch run that hits the private cache, recording the serial access
-/// path's observability hooks for each consumed reference.
+/// epoch run that hits the private cache.
 ///
 /// Stops at the first reference not resident at level 0: from there on
 /// the access needs the shared server, so it is left for the serial
@@ -127,27 +119,16 @@ fn worker_loop(shared: &Shared, me: usize) {
 fn advance_client_run(cell: &mut Cell) {
     cell.done = 0;
     for i in 0..cell.run.len() {
-        let RunRef { block, pos } = cell.run[i];
+        let block = cell.run[i];
         if cell.stack.cached_level(block) != Some(0) {
             break;
         }
-        // The serial hook order for a private hit: begin, the demand
-        // RPC, the hit, the (level-0) retrieve. The tick is re-stamped
-        // to the reference's global position first, so windowed
-        // timelines land each access in the window the serial driver
-        // would use (`begin_access` advances the stamp to `pos + 1`,
-        // the 1-based serial tick).
-        cell.obs.set_tick(pos);
-        cell.obs.begin_access();
-        cell.obs.on_rpc(1);
-        cell.obs.on_hit(0, block.raw());
         let res = cell.stack.access_into(block, &mut cell.scratch);
         debug_assert_eq!(
             res.placed,
             Placement::Level(0),
             "a resident private block must stay resident on a touch"
         );
-        cell.obs.on_retrieve(0, block.raw());
         cell.done += 1;
     }
 }
@@ -185,13 +166,6 @@ fn commit_epoch<P: MessagePlane>(
             // land here, at exactly the position the serial driver
             // would deliver them.
             seen[c] += 1;
-            // Keep the policy recorder's tick (and timeline window)
-            // aligned with the serial axis even though this access was
-            // recorded shard-side: any tallies arriving between here
-            // and the next full access (e.g. post-run plane-fault
-            // folding) must land in the same window as under the
-            // serial driver.
-            policy.obs_mut().set_tick(idx as u64 + 1);
             policy.deliver_notices(c);
             if idx >= warmup {
                 stats.record(hit_out);
@@ -200,11 +174,6 @@ fn commit_epoch<P: MessagePlane>(
             if let Some(ahead) = records.get(idx + PREFETCH_DISTANCE) {
                 policy.prefetch(ahead.client, ahead.block);
             }
-            // Re-stamp before the access: consumed positions advanced
-            // shard-side, so the policy recorder's own tick lags the
-            // global axis. `begin_access` inside `access_into` moves
-            // the stamp to `idx + 1`, the serial 1-based tick.
-            policy.obs_mut().set_tick(idx as u64);
             policy.access_into(r.client, r.block, full_out);
             if idx >= warmup {
                 stats.record(full_out);
@@ -281,7 +250,6 @@ impl ShardedReplayer {
                 Mutex::new(Cell {
                     stack: UniLruStack::new(vec![1, 1]),
                     scratch: AccessScratch::new(),
-                    obs: ObsHandle::default(),
                     run: Vec::new(),
                     done: 0,
                 })
@@ -353,15 +321,14 @@ impl ShardedReplayer {
     }
 
     /// Replays all of `trace` through `policy`, warming with the first
-    /// `warmup` references, and folds the shard recorders back into the
-    /// policy's recorder. Equivalent to [`ulc_hierarchy::simulate`],
+    /// `warmup` references. Equivalent to [`ulc_hierarchy::simulate`],
     /// bit-for-bit.
     ///
     /// # Panics
     ///
     /// Panics if `warmup` exceeds the trace length, if the plan was
-    /// built from a different trace, or if the policy has fewer clients
-    /// than the trace references.
+    /// built from a different trace, if the policy has fewer clients
+    /// than the trace references, or if it has a recorder attached.
     pub fn replay<P: MessagePlane>(
         &mut self,
         policy: &mut UlcMulti<P>,
@@ -371,7 +338,6 @@ impl ShardedReplayer {
         assert!(warmup <= trace.len(), "warm-up longer than the trace");
         let mut stats = SimStats::new(policy.num_levels());
         self.replay_range(policy, trace, 0, trace.len(), warmup, &mut stats);
-        self.fold_obs(policy);
         stats.faults = policy.fault_summary();
         stats
     }
@@ -381,13 +347,14 @@ impl ShardedReplayer {
     /// boundaries are semantics-free, so consecutive ranges compose to
     /// exactly one full replay — the throughput harness uses this to
     /// split a run into a warm phase and an allocation-gated steady
-    /// phase. Callers composing ranges by hand should call
-    /// [`ShardedReplayer::fold_obs`] once at the end.
+    /// phase.
     ///
     /// # Panics
     ///
-    /// Panics if the range is invalid for the trace or the plan does not
-    /// match the trace.
+    /// Panics if the range is invalid for the trace, if the plan does not
+    /// match the trace, or if the policy has a recorder attached: workers
+    /// consume accesses out of trace order, which a recorder's tick
+    /// cannot follow ([`simulate_sharded`] replays such a run serially).
     pub fn replay_range<P: MessagePlane>(
         &mut self,
         policy: &mut UlcMulti<P>,
@@ -407,65 +374,12 @@ impl ShardedReplayer {
             policy.num_clients() >= self.shared.cells.len(),
             "policy has fewer clients than the trace references"
         );
-        self.sync_obs(policy);
+        assert!(!policy.obs().is_enabled(), "sharded replay cannot record");
         let mut s = start;
         while s < end {
             let e = (s + self.epoch_len).min(end);
             self.run_epoch(policy, trace, s, e, warmup, stats);
             s = e;
-        }
-    }
-
-    /// Finishes every shard recorder and folds it into the policy's
-    /// recorder ([`ulc_obs::RingRecorder::absorb`]: metrics registry
-    /// plus window-aligned timeline), then resets the shard recorders.
-    /// A no-op when observability is off.
-    pub fn fold_obs<P: MessagePlane>(&mut self, policy: &mut UlcMulti<P>) {
-        for cell in &self.shared.cells {
-            let mut cell = cell.lock().expect("replay cell poisoned");
-            if !cell.obs.is_enabled() {
-                continue;
-            }
-            cell.obs.finish();
-            if let (Some(shard), Some(rec)) =
-                (cell.obs.recorder(), policy.obs_mut().recorder_mut())
-            {
-                rec.absorb(shard);
-            }
-            cell.obs = ObsHandle::default();
-        }
-    }
-
-    /// Enables shard recorders iff the policy's recorder is enabled, so
-    /// consumed accesses record the same hooks the serial path would —
-    /// mirroring the policy recorder's span cost model and timeline
-    /// geometry so the fold is bit-identical to the serial recorder.
-    fn sync_obs<P: MessagePlane>(&mut self, policy: &UlcMulti<P>) {
-        if !policy.obs().is_enabled() {
-            return;
-        }
-        let levels = policy.num_levels();
-        let cost_model = policy.obs().recorder().map(|r| r.cost_model());
-        let timeline_geometry = policy
-            .obs()
-            .recorder()
-            .and_then(|r| r.timeline())
-            .map(|t| (t.window_len(), t.capacity()));
-        for cell in &self.shared.cells {
-            let mut cell = cell.lock().expect("replay cell poisoned");
-            if !cell.obs.is_enabled() {
-                cell.obs.enable(levels, SHARD_OBS_CAPACITY);
-            }
-            if let Some(rec) = cell.obs.recorder_mut() {
-                if let Some(m) = cost_model {
-                    rec.set_cost_model(m);
-                }
-                if let Some((window_len, capacity)) = timeline_geometry {
-                    if rec.timeline().is_none() {
-                        rec.enable_timeline(window_len, capacity);
-                    }
-                }
-            }
         }
     }
 
@@ -524,9 +438,11 @@ impl Drop for ShardedReplayer {
 /// Replays `trace` through `policy` with `shards` worker threads,
 /// bit-identical to [`ulc_hierarchy::simulate`].
 ///
-/// Falls back to the serial driver when `shards <= 1` or the policy's
-/// message plane is lossy (faults do not commute with reordered
-/// private hits; see the module docs).
+/// Falls back to the serial driver when `shards <= 1`, when the
+/// policy's message plane is lossy (faults do not commute with
+/// reordered private hits; see the module docs), or when the policy has
+/// a recorder attached (a recorder follows one access at a time, in
+/// trace order).
 ///
 /// # Panics
 ///
@@ -538,7 +454,7 @@ pub fn simulate_sharded<P: MessagePlane>(
     warmup: usize,
     shards: usize,
 ) -> SimStats {
-    if shards <= 1 || policy.plane().lossy() {
+    if shards <= 1 || policy.plane().lossy() || policy.obs().is_enabled() {
         return simulate(policy, trace, warmup);
     }
     let mut replayer = ShardedReplayer::new(trace, shards);

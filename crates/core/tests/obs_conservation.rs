@@ -12,11 +12,9 @@
 //! (DESIGN.md §5j) and gates the per-window conservation law: the sum
 //! of all timeline windows must reproduce the final registry *exactly*
 //! ([`ulc_obs::check::windows_reconcile`]) — per protocol, including
-//! the crashy `FaultyPlane` leg and a sharded (shards=4) leg whose
-//! folded timeline must equal the serial driver's bit for bit.
+//! the crashy `FaultyPlane` leg.
 #![cfg(feature = "obs")]
 
-use ulc_core::parallel::simulate_sharded;
 use ulc_core::{UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
 use ulc_hierarchy::plane::{FaultScenario, FaultyPlane};
 use ulc_hierarchy::{
@@ -261,36 +259,4 @@ fn faulty_plane_run_reconciles_and_reports_transport_faults() {
     obs.finish();
     let rec = clean.obs().recorder().expect("recorder");
     assert_eq!(rec.metrics().counter(ulc_obs::CounterId::PlaneFaults), 0);
-}
-
-#[test]
-fn sharded_replay_timeline_folds_bit_identical_to_serial() {
-    // The shards=4 leg of the per-window gate: the sharded executor
-    // stamps every consumed access with its global trace position, so
-    // folding the per-shard timelines must reproduce the serial
-    // driver's timeline *bit for bit* — same windows, same counters,
-    // same histograms — and both must satisfy window conservation.
-    let trace = ulc_trace::synthetic::httpd_multi(30_000);
-    let mut serial = UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048));
-    let mut sharded = UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048));
-    for p in [&mut serial, &mut sharded] {
-        let levels = p.num_levels();
-        p.obs_mut().enable(levels, BIG_RING);
-        attach_timeline(p, &trace);
-    }
-    let want = simulate(&mut serial, &trace, 0);
-    let got = simulate_sharded(&mut sharded, &trace, 0, 4);
-    assert_eq!(want, got, "sharded SimStats must match the serial driver");
-    serial.obs_mut().finish();
-    sharded.obs_mut().finish();
-    let s = serial.obs().recorder().expect("recorder");
-    let p = sharded.obs().recorder().expect("recorder");
-    assert_eq!(s.metrics(), p.metrics(), "folded registry must equal serial");
-    assert_eq!(
-        s.timeline().expect("timeline"),
-        p.timeline().expect("timeline"),
-        "folded timeline must equal serial window for window"
-    );
-    check::windows_reconcile(s).expect("serial window conservation");
-    check::windows_reconcile(p).expect("sharded window conservation");
 }

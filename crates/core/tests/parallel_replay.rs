@@ -2,12 +2,12 @@
 //!
 //! The contract under test: [`ulc_core::parallel::simulate_sharded`] is
 //! **bit-identical** to the serial driver [`ulc_hierarchy::simulate`] —
-//! same [`SimStats`] down to the last mantissa bit of the derived rates,
-//! same folded metrics registry when observability is on — at every
-//! shard count, every epoch length, both claim rules, and on a
-//! zero-fault `FaultyPlane` (whose delivery machinery differs from the
-//! reliable plane's). Actively faulty planes must take the serial
-//! fallback and stay exact by construction.
+//! same [`SimStats`] down to the last mantissa bit of the derived rates
+//! — at every shard count, every epoch length, both claim rules, and on
+//! a zero-fault `FaultyPlane` (whose delivery machinery differs from the
+//! reliable plane's). Actively faulty planes and policies with a
+//! recorder attached must take the serial fallback and stay exact by
+//! construction.
 
 mod common;
 
@@ -131,7 +131,6 @@ fn replay_ranges_compose_to_one_full_replay() {
         let mut stats = SimStats::new(2);
         replayer.replay_range(&mut policy, trace, 0, split, warmup, &mut stats);
         replayer.replay_range(&mut policy, trace, split, trace.len(), warmup, &mut stats);
-        replayer.fold_obs(&mut policy);
         stats.faults = policy.fault_summary();
         assert_stats_bit_identical(&format!("{name}/split={split}"), &expect, &stats);
     }
@@ -139,7 +138,7 @@ fn replay_ranges_compose_to_one_full_replay() {
 
 #[cfg(feature = "obs")]
 #[test]
-fn folded_metrics_are_bit_identical_to_serial() {
+fn observed_run_takes_the_serial_fallback_and_records_what_simulate_records() {
     use ulc_obs::Observe;
 
     let (name, trace, clients) = &multi_client_workloads()[0];
@@ -161,9 +160,23 @@ fn folded_metrics_are_bit_identical_to_serial() {
         assert_stats_bit_identical(&format!("{name}/obs@{shards}"), &expect, &got);
         assert_eq!(
             expect_metrics, got_metrics,
-            "{name}@{shards}: folded metrics diverged"
+            "{name}@{shards}: recorded metrics diverged"
         );
     }
+}
+
+#[cfg(feature = "obs")]
+#[test]
+#[should_panic(expected = "sharded replay cannot record")]
+fn replay_range_rejects_a_policy_with_a_recorder() {
+    use ulc_obs::Observe;
+
+    let (_, trace, clients) = &multi_client_workloads()[0];
+    let mut policy = UlcMulti::new(config_for(*clients));
+    policy.obs_mut().enable(2, 1 << 10);
+    let mut replayer = ShardedReplayer::new(trace, 2);
+    let mut stats = SimStats::new(2);
+    replayer.replay_range(&mut policy, trace, 0, trace.len(), 0, &mut stats);
 }
 
 /// Builds a multi-client trace whose clients' block ranges partially

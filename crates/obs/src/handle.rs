@@ -165,16 +165,6 @@ impl ObsHandle {
         }
     }
 
-    /// Re-stamps the recorder's tick with the access's global trace
-    /// position (1-based); the sharded executor calls this before
-    /// `begin_access` so windowed timelines align with the serial run.
-    #[inline]
-    pub fn set_tick(&mut self, tick: u64) {
-        if let Some(r) = self.recorder_mut() {
-            r.set_tick(tick);
-        }
-    }
-
     /// Attaches a pre-allocated windowed [`crate::TimelineSampler`]
     /// (`capacity` windows of `window_len` ticks) to the recorder.
     /// Requires [`ObsHandle::enable`] first; call before the run.
@@ -226,7 +216,6 @@ mod tests {
         h.on_reconcile(0);
         h.on_fault(1, 5);
         h.on_rpc(1);
-        h.set_tick(3);
         h.enable_timeline(4, 4);
         h.add_plane_faults(2);
         h.finish();

@@ -9,16 +9,15 @@
 //!   fault).
 //! * [`ring`] — the fixed-capacity, overwrite-oldest [`RingLog`].
 //! * [`metrics`] — the pre-registered [`MetricsRegistry`]: counters,
-//!   per-level rows and power-of-two-bucket [`Pow2Histogram`]s, merged
-//!   across sweep workers with [`MetricsRegistry::merge`].
+//!   per-level rows and power-of-two-bucket [`Pow2Histogram`]s, summed
+//!   with [`MetricsRegistry::merge`].
 //! * [`recorder`] — the [`Recorder`] trait ([`NoopRecorder`] compiles to
 //!   nothing) and the live [`RingRecorder`].
 //! * [`handle`] — the feature-switched [`ObsHandle`] and the [`Observe`]
 //!   trait generic drivers use to reach it.
 //! * [`timeline`] — the fixed-capacity windowed [`TimelineSampler`]:
 //!   one full registry per `window_len`-tick window, window sums exact
-//!   by construction, merged shard-by-shard with an alignment-preserving
-//!   [`TimelineSampler::merge`] (DESIGN.md §5j).
+//!   by construction (DESIGN.md §5j).
 //! * [`span`] — per-access causal spans and the integer
 //!   [`SpanCostModel`] that turns each span's RPC rounds, demotions and
 //!   misses into the [`HistId::SpanCost`] histogram.

@@ -4,9 +4,10 @@
 //! construction ([`MetricsRegistry::new`]): a flat counter array, one
 //! [`LevelCounters`] row per hierarchy level and a small fixed set of
 //! [`Pow2Histogram`]s. Recording is index arithmetic only, so the hot
-//! path stays allocation-free; registries from parallel sweep workers
-//! are combined with [`MetricsRegistry::merge`], which is associative
-//! and commutative (proven by proptest in `tests/hist_props.rs`).
+//! path stays allocation-free. [`MetricsRegistry::merge`] adds one
+//! registry into another; `TimelineSampler::summed` uses it to total
+//! the windows, and its laws are proven by proptest in
+//! `tests/hist_props.rs`.
 
 /// Number of histogram buckets: bucket 0 holds the value 0, bucket `i`
 /// (1..=64) holds values whose bit length is `i`, i.e. `[2^(i-1), 2^i)`.
@@ -188,8 +189,7 @@ impl Pow2Histogram {
             })
     }
 
-    /// Adds `other`'s contents into `self`. Associative and commutative,
-    /// so sweep workers can be folded in any order.
+    /// Adds `other`'s contents into `self`. Associative and commutative.
     pub fn merge(&mut self, other: &Pow2Histogram) {
         for (b, o) in self.buckets.iter_mut().zip(other.buckets.iter()) {
             *b += o;
@@ -279,8 +279,7 @@ impl MetricsRegistry {
         &self.hists[id as usize]
     }
 
-    /// Adds `other`'s tallies into `self` (sweep-worker fold).
-    /// Associative and commutative.
+    /// Adds `other`'s tallies into `self`. Associative and commutative.
     ///
     /// # Panics
     /// Panics if the two registries were sized for different hierarchies.

@@ -42,13 +42,6 @@ pub trait Recorder {
     fn record_buffered(&mut self, boundary: usize) {
         let _ = boundary;
     }
-    /// Re-stamps the current tick (1-based global access position).
-    /// Drivers that replay accesses out of arrival order — the sharded
-    /// executor — call this before `begin_access` so windowed timelines
-    /// stay aligned with the serial tick axis.
-    fn set_tick(&mut self, tick: u64) {
-        let _ = tick;
-    }
     /// Closes the current access's span: flushes the batched RPC-round,
     /// demote-batch and span-cost tallies into their histograms,
     /// attributed to the window the span began in. Idempotent.
@@ -111,9 +104,6 @@ pub struct RingRecorder {
     pending_rpcs: u64,
     pending_demotes: u64,
     pending_span_cost: u64,
-    /// Window the open span began in — batched histograms flush here
-    /// even if `set_tick` already moved the cursor to a later window.
-    pending_window: usize,
 }
 
 impl RingRecorder {
@@ -131,7 +121,6 @@ impl RingRecorder {
             pending_rpcs: 0,
             pending_demotes: 0,
             pending_span_cost: 0,
-            pending_window: 0,
         }
     }
 
@@ -174,8 +163,7 @@ impl RingRecorder {
         self.cost_model = model;
     }
 
-    /// Current tick: the 1-based position of the last access begun
-    /// (re-stamped by [`Recorder::set_tick`] under sharded replay).
+    /// Current tick: the 1-based position of the last access begun.
     pub fn ticks(&self) -> u64 {
         self.tick
     }
@@ -191,41 +179,14 @@ impl RingRecorder {
         }
     }
 
-    /// Folds another recorder's tallies into this one: registry merge
-    /// plus window-aligned timeline merge. This is the sharded-replay
-    /// fold — with the executor's global tick stamping it reproduces
-    /// the serial recorder's registry and timeline bit-identically.
-    ///
-    /// # Panics
-    /// Panics if exactly one side has a timeline attached, or if the
-    /// timelines/registries have mismatched geometry.
-    pub fn absorb(&mut self, other: &RingRecorder) {
-        self.metrics.merge(&other.metrics);
-        assert_eq!(
-            self.timeline.is_some(),
-            other.timeline.is_some(),
-            "cannot fold recorders with mismatched timeline attachment"
-        );
-        if let (Some(mine), Some(theirs)) = (self.timeline.as_deref_mut(), other.timeline.as_deref())
-        {
-            mine.merge(theirs);
-        }
-        // The other ring's events are not spliced into this stream (a
-        // shard ring is a sampling window, not a log segment); charge
-        // them as dropped so the event-kind tally knows the stream is
-        // incomplete rather than silently short.
-        self.log
-            .charge_dropped(other.log.len() as u64 + other.log.dropped());
-        if other.tick > self.tick {
-            self.tick = other.tick;
-        }
-    }
-
+    /// Flushes one batched value. Only `span_end` calls this, and
+    /// `begin_access` runs it before moving the timeline cursor, so the
+    /// current window is the one the span began in.
     #[inline]
     fn observe_pending(&mut self, id: HistId, value: u64) {
         self.metrics.observe(id, value);
         if let Some(t) = self.timeline.as_deref_mut() {
-            t.window_at_mut(self.pending_window).observe(id, value);
+            t.sample_window().observe(id, value);
         }
     }
 }
@@ -238,7 +199,6 @@ impl Recorder for RingRecorder {
         self.metrics.inc(CounterId::Accesses);
         if let Some(t) = self.timeline.as_deref_mut() {
             t.set_tick(self.tick);
-            self.pending_window = t.current_window();
             t.sample_window().inc(CounterId::Accesses);
         }
     }
@@ -291,14 +251,6 @@ impl Recorder for RingRecorder {
     }
 
     #[inline]
-    fn set_tick(&mut self, tick: u64) {
-        self.tick = tick;
-        if let Some(t) = self.timeline.as_deref_mut() {
-            t.set_tick(tick);
-        }
-    }
-
-    #[inline]
     fn span_end(&mut self) {
         if self.pending_rpcs > 0 {
             let n = self.pending_rpcs;
@@ -334,7 +286,6 @@ mod tests {
         r.record_event(EventKind::Hit, 0, 1);
         r.record_rpc(1);
         r.record_buffered(0);
-        r.set_tick(5);
         r.span_end();
         r.finish();
     }
@@ -436,27 +387,5 @@ mod tests {
         assert_eq!(t.window(0).hist(HistId::RpcRounds).count(), 1);
         assert_eq!(t.window(1).hist(HistId::RpcRounds).count(), 0);
         assert_eq!(t.summed(), *r.metrics());
-    }
-
-    #[test]
-    fn absorb_folds_registry_and_timeline() {
-        let mut a = RingRecorder::new(2, 16);
-        a.enable_timeline(2, 4);
-        let mut b = RingRecorder::new(2, 16);
-        b.enable_timeline(2, 4);
-        a.set_tick(0);
-        a.begin_access();
-        a.record_event(EventKind::Hit, 0, 1);
-        b.set_tick(3);
-        b.begin_access();
-        b.record_event(EventKind::Miss, 2, 9);
-        a.finish();
-        b.finish();
-        a.absorb(&b);
-        assert_eq!(a.metrics().counter(CounterId::Accesses), 2);
-        let t = a.timeline().expect("timeline attached");
-        assert_eq!(t.window(0).counter(CounterId::Hits), 1);
-        assert_eq!(t.window(1).counter(CounterId::Misses), 1);
-        assert_eq!(t.summed(), *a.metrics());
     }
 }

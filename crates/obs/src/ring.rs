@@ -69,15 +69,6 @@ impl RingLog {
         self.dropped
     }
 
-    /// Charges `n` events as dropped without storing them. Used by the
-    /// sharded fold: a worker shard's sampling ring is not spliced into
-    /// the absorbing recorder's stream, so its events are accounted here
-    /// and downstream checks see a truncated (never silently short)
-    /// stream.
-    pub fn charge_dropped(&mut self, n: u64) {
-        self.dropped += n;
-    }
-
     /// Iterates the live events oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &Event> + '_ {
         let start = if self.len < self.buf.len() { 0 } else { self.next };

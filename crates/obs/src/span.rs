@@ -13,8 +13,7 @@
 //! are slower, so work that reaches level `l` is weighted by
 //! `weight(l)`. The default doubles per level (`1 << l`), matching the
 //! usual order-of-magnitude latency gap between buffer-cache tiers; the
-//! weights are plain integers so span costs — and therefore the
-//! timeline fold of a sharded replay — stay bit-exact.
+//! weights are plain integers so span costs stay bit-exact.
 
 /// Deepest level the weight table distinguishes; deeper levels clamp to
 /// the last entry. Real hierarchies in this repo have 2–3 levels plus

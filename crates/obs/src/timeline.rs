@@ -15,19 +15,6 @@
 //! longer than `window_len * capacity` clamp into the last window
 //! (flagged by [`TimelineSampler::truncated`]) rather than allocating,
 //! so conservation still holds on overflow.
-//!
-//! # Window alignment and merging
-//!
-//! [`TimelineSampler::merge`] adds another sampler window-by-window at
-//! the *same* window index — it is an alignment-preserving fold, not a
-//! concatenation. Because the sharded replay executor stamps every
-//! recorder with the access's global trace position
-//! (`ObsHandle::set_tick`) before `begin_access`, a per-shard timeline
-//! attributes each access to the same window the serial driver would,
-//! and folding the shards (in any order: merge is associative and
-//! commutative, proven by proptest in `tests/hist_props.rs`) is
-//! bit-identical to the serial timeline. Merging requires identical
-//! `window_len`, capacity and hierarchy depth.
 
 use crate::metrics::MetricsRegistry;
 
@@ -122,52 +109,12 @@ impl TimelineSampler {
         }
     }
 
-    /// Index of the window the last stamped tick falls in.
-    #[inline]
-    pub fn current_window(&self) -> usize {
-        self.cur
-    }
-
     /// The registry of the current window — every mutation the recorder
     /// applies to its whole-run registry is mirrored here, which is
     /// what makes window sums exact.
     #[inline]
     pub fn sample_window(&mut self) -> &mut MetricsRegistry {
         &mut self.windows[self.cur]
-    }
-
-    /// The registry of window `index`, clamped to the last window —
-    /// used to flush batched histograms into the window whose access
-    /// generated them, even if later accesses already moved `cur` on.
-    #[inline]
-    pub fn window_at_mut(&mut self, index: usize) -> &mut MetricsRegistry {
-        let last = self.windows.len() - 1;
-        let idx = if index < last { index } else { last };
-        if idx + 1 > self.touched {
-            self.touched = idx + 1;
-        }
-        &mut self.windows[idx]
-    }
-
-    /// Adds `other`'s windows into `self`, aligned on window index.
-    /// Associative and commutative, so per-shard timelines fold in any
-    /// order to the serial driver's timeline.
-    ///
-    /// # Panics
-    /// Panics if the samplers differ in window length, capacity or
-    /// hierarchy depth.
-    pub fn merge(&mut self, other: &TimelineSampler) {
-        assert_eq!(self.window_len, other.window_len, "window_len mismatch in timeline merge");
-        assert_eq!(self.windows.len(), other.windows.len(), "capacity mismatch in timeline merge");
-        for i in 0..other.touched {
-            self.windows[i].merge(&other.windows[i]);
-        }
-        if other.touched > self.touched {
-            self.touched = other.touched;
-        }
-        if other.max_tick > self.max_tick {
-            self.max_tick = other.max_tick;
-        }
     }
 
     /// Sums every touched window into one registry; by construction
@@ -181,22 +128,6 @@ impl TimelineSampler {
         total
     }
 }
-
-impl PartialEq for TimelineSampler {
-    /// Structural equality of everything observable: window geometry,
-    /// reached windows and their contents, and the stamped tick range.
-    /// The transient cursor is deliberately excluded so a folded
-    /// timeline compares equal to the serial one.
-    fn eq(&self, other: &Self) -> bool {
-        self.window_len == other.window_len
-            && self.windows.len() == other.windows.len()
-            && self.touched == other.touched
-            && self.max_tick == other.max_tick
-            && self.windows[..self.touched] == other.windows[..other.touched]
-    }
-}
-
-impl Eq for TimelineSampler {}
 
 #[cfg(test)]
 mod tests {
@@ -230,31 +161,5 @@ mod tests {
         assert_eq!(t.window(0).counter(CounterId::Hits), 2);
         assert_eq!(t.window(1).counter(CounterId::Hits), 7);
         assert_eq!(t.summed().counter(CounterId::Hits), 9);
-    }
-
-    #[test]
-    fn merge_aligns_on_window_index() {
-        let mut a = TimelineSampler::new(1, 2, 4);
-        let mut b = TimelineSampler::new(1, 2, 4);
-        a.set_tick(1);
-        a.sample_window().inc(CounterId::Hits);
-        b.set_tick(4);
-        b.sample_window().inc(CounterId::Misses);
-        let mut ab = a.clone();
-        ab.merge(&b);
-        let mut ba = b.clone();
-        ba.merge(&a);
-        assert_eq!(ab, ba);
-        assert_eq!(ab.num_windows(), 2);
-        assert_eq!(ab.window(0).counter(CounterId::Hits), 1);
-        assert_eq!(ab.window(1).counter(CounterId::Misses), 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "window_len mismatch")]
-    fn merge_rejects_mismatched_geometry() {
-        let mut a = TimelineSampler::new(1, 2, 4);
-        let b = TimelineSampler::new(1, 3, 4);
-        a.merge(&b);
     }
 }

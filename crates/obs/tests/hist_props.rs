@@ -1,11 +1,11 @@
-//! Property tests for the observability histograms, registry merge and
-//! timeline merge: merging is associative and commutative, bucket
-//! counts are conserved under any split/merge of the recorded value
-//! stream, and `bucket_index`/`bounds` round-trip exactly on every
-//! boundary value (0, 1, powers of two ± 1, `u64::MAX`).
+//! Property tests for the observability histograms and registry merge:
+//! merging is associative and commutative, bucket counts are conserved
+//! under any split/merge of the recorded value stream, and
+//! `bucket_index`/`bounds` round-trip exactly on every boundary value
+//! (0, 1, powers of two ± 1, `u64::MAX`).
 
 use proptest::prelude::*;
-use ulc_obs::{CounterId, HistId, MetricsRegistry, Pow2Histogram, TimelineSampler, POW2_BUCKETS};
+use ulc_obs::{CounterId, HistId, MetricsRegistry, Pow2Histogram, POW2_BUCKETS};
 
 fn hist_of(values: &[u64]) -> Pow2Histogram {
     let mut h = Pow2Histogram::new();
@@ -13,31 +13,6 @@ fn hist_of(values: &[u64]) -> Pow2Histogram {
         h.record(v);
     }
     h
-}
-
-/// One synthetic timeline operation: a tick plus a small op selector
-/// driving one registry mutation into that tick's window.
-type TimelineOp = (u64, u8);
-
-/// Builds a sampler from an op stream the way the recorder would:
-/// stamp the tick, then mutate the current window.
-fn sampler_of(ops: &[TimelineOp]) -> TimelineSampler {
-    let mut t = TimelineSampler::new(2, 16, 8);
-    for &(tick, op) in ops {
-        t.set_tick(tick);
-        let w = t.sample_window();
-        match op % 4 {
-            0 => w.inc(CounterId::Hits),
-            1 => w.inc(CounterId::Misses),
-            2 => w.observe(HistId::SpanCost, tick),
-            _ => {
-                if let Some(row) = w.level_mut((op % 2) as usize) {
-                    row.demotions += 1;
-                }
-            }
-        }
-    }
-    t
 }
 
 /// The exact bucket-edge values of the power-of-two histogram: 0, 1,
@@ -167,49 +142,5 @@ proptest! {
         let mut left = hist_of(&values[..cut]);
         left.merge(&hist_of(&values[cut..]));
         prop_assert_eq!(left, hist_of(&values));
-    }
-
-    #[test]
-    fn timeline_merge_is_commutative(
-        a in proptest::collection::vec((0u64..200, any::<u8>()), 0..80),
-        b in proptest::collection::vec((0u64..200, any::<u8>()), 0..80),
-    ) {
-        let mut ab = sampler_of(&a);
-        ab.merge(&sampler_of(&b));
-        let mut ba = sampler_of(&b);
-        ba.merge(&sampler_of(&a));
-        prop_assert_eq!(ab, ba);
-    }
-
-    #[test]
-    fn timeline_merge_is_associative(
-        a in proptest::collection::vec((0u64..200, any::<u8>()), 0..60),
-        b in proptest::collection::vec((0u64..200, any::<u8>()), 0..60),
-        c in proptest::collection::vec((0u64..200, any::<u8>()), 0..60),
-    ) {
-        // (a + b) + c
-        let mut left = sampler_of(&a);
-        left.merge(&sampler_of(&b));
-        left.merge(&sampler_of(&c));
-        // a + (b + c)
-        let mut bc = sampler_of(&b);
-        bc.merge(&sampler_of(&c));
-        let mut right = sampler_of(&a);
-        right.merge(&bc);
-        prop_assert_eq!(left, right);
-    }
-
-    #[test]
-    fn timeline_split_merge_reproduces_the_whole_run(
-        ops in proptest::collection::vec((0u64..200, any::<u8>()), 0..120),
-        split in 0usize..120,
-    ) {
-        // Ticks up to 200 with 16-tick windows over 8 slots: the tail
-        // clamps, so the conservation law is exercised under overflow
-        // too (the sharded fold must stay exact even when truncating).
-        let cut = split.min(ops.len());
-        let mut merged = sampler_of(&ops[..cut]);
-        merged.merge(&sampler_of(&ops[cut..]));
-        prop_assert_eq!(merged.summed(), sampler_of(&ops).summed());
     }
 }

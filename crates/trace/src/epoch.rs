@@ -158,7 +158,7 @@ impl ReplayPlan {
             let c = r.client.index() as usize;
             if runs.open[c] {
                 if self.exclusive[start + i] {
-                    runs.runs[c].push(RunRef { block: r.block, pos: (start + i) as u64 });
+                    runs.runs[c].push(r.block);
                 } else {
                     runs.open[c] = false;
                 }
@@ -167,26 +167,13 @@ impl ReplayPlan {
     }
 }
 
-/// One reference of a per-client run: the block plus its 0-based global
-/// trace position. Workers replaying a run out of global order stamp
-/// the position into their observability recorder
-/// (`Recorder::set_tick`) so windowed timelines stay aligned with the
-/// serial tick axis.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub struct RunRef {
-    /// The referenced block.
-    pub block: BlockId,
-    /// The reference's 0-based position in the global trace order.
-    pub pos: u64,
-}
-
 /// Per-client leading exclusive runs of one trace epoch; the reusable
 /// output buffer of [`ReplayPlan::fill_runs`].
 #[derive(Clone, Debug)]
 pub struct EpochRuns {
     /// `runs[c]` — client `c`'s epoch-local references up to (not
     /// including) its first non-exclusive reference in the epoch.
-    runs: Vec<Vec<RunRef>>,
+    runs: Vec<Vec<BlockId>>,
     /// Fill scratch: whether client `c`'s run is still growing.
     open: Vec<bool>,
 }
@@ -206,13 +193,13 @@ impl EpochRuns {
     }
 
     /// Client `c`'s leading exclusive run for the last filled epoch.
-    pub fn run(&self, client: usize) -> &[RunRef] {
+    pub fn run(&self, client: usize) -> &[BlockId] {
         &self.runs[client]
     }
 
     /// Mutable access to client `c`'s run buffer, so an executor can swap
     /// it into a worker cell without copying.
-    pub fn run_mut(&mut self, client: usize) -> &mut Vec<RunRef> {
+    pub fn run_mut(&mut self, client: usize) -> &mut Vec<BlockId> {
         &mut self.runs[client]
     }
 }
@@ -270,14 +257,8 @@ mod tests {
         let plan = ReplayPlan::build(&t);
         let mut runs = EpochRuns::new(2);
         plan.fill_runs(&t, 0, t.len(), &mut runs);
-        assert_eq!(runs.run(0), &[RunRef { block: BlockId::new(1), pos: 0 }]);
-        assert_eq!(
-            runs.run(1),
-            &[
-                RunRef { block: BlockId::new(2), pos: 1 },
-                RunRef { block: BlockId::new(4), pos: 4 }
-            ]
-        );
+        assert_eq!(runs.run(0), &[BlockId::new(1)]);
+        assert_eq!(runs.run(1), &[BlockId::new(2), BlockId::new(4)]);
     }
 
     #[test]
@@ -295,13 +276,7 @@ mod tests {
         assert!(runs.run(0).is_empty());
         assert!(runs.run(1).is_empty());
         plan.fill_runs(&t, 3, 5, &mut runs);
-        assert_eq!(
-            runs.run(0),
-            &[
-                RunRef { block: BlockId::new(2), pos: 3 },
-                RunRef { block: BlockId::new(3), pos: 4 }
-            ]
-        );
+        assert_eq!(runs.run(0), &[BlockId::new(2), BlockId::new(3)]);
         assert!(runs.run(1).is_empty());
     }
 

@@ -102,7 +102,11 @@ cargo test -q -p ulc-core --test chaos --features debug_invariants seeded_chaos_
 # claim rules, a zero-fault FaultyPlane on the parallel path, the crashy
 # scenario on the serial fallback, arbitrary epoch lengths and
 # replay_range splits, plus a 24-case shard-count-invariance property.
-cargo test -q -p ulc-core --test parallel_replay
+# Built with obs so its recorder legs run too: an observed run takes the
+# serial fallback and records what simulate records, and replay_range
+# refuses a policy with a recorder attached. (`cargo test --workspace`
+# above runs the plain build of the same suite.)
+cargo test -q -p ulc-core --features obs --test parallel_replay
 
 # Throughput + allocation gates (DESIGN.md §5e, §5f): the golden SimStats grid
 # above pins what the dense block tables and the pooled access paths
@@ -133,7 +137,8 @@ cargo test -q -p ulc-core --features obs --test obs_conservation
 
 # The §5f contract with a live recorder attached: the same alloc-gate
 # suite plus a seeded smoke sweep built with recording enabled, whose
-# allocation profiles run with a recorder attached to every row and
+# allocation profiles run with a recorder attached to every serial row
+# (sharded rows profile without one: sharded replay cannot record) and
 # must report 0.0000 steady allocations/access (the run exits non-zero
 # otherwise). No baseline: an instrumented build's rates are not
 # comparable.
@@ -144,13 +149,15 @@ cargo run -q --release -p ulc-bench --features "alloc_stats obs" --bin sweep -- 
 
 # The flight-recorder export, the one observability report (DESIGN.md
 # §5j, EXPERIMENTS.md E12): the golden schema snapshots pin the export's
-# shape (and the bench JSON's, which plain `cargo test` also checks),
-# then obs-tool writes a seeded smoke export whose every cell reconciles
-# with its SimStats and whose window sums reconcile exactly with the
-# final registries, converts it to a Chrome trace, and `verify`
-# re-parses the written file and recomputes the derived report
+# shape (and the bench JSON's, which plain `cargo test` also checks), and
+# a tiny live collect must verify, with the residency replay verified on
+# both ULC cells; then obs-tool writes a seeded smoke export whose every
+# cell reconciles with its SimStats and whose window sums reconcile
+# exactly with the final registries, converts it to a Chrome trace, and
+# `verify` re-parses the written file and recomputes the derived report
 # bit-identically — export and verify exit non-zero on any drift.
 cargo test -q -p ulc-bench --features obs --test json_schema
+cargo test -q -p ulc-bench --features obs --lib flight
 cargo run -q --release -p ulc-bench --features obs --bin obs-tool -- \
   export --scale=smoke --out=results/FLIGHT_obs.json
 cargo run -q --release -p ulc-bench --features obs --bin obs-tool -- \
