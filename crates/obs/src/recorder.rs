@@ -152,17 +152,6 @@ impl RingRecorder {
         self.timeline.as_deref_mut()
     }
 
-    /// The span cost model in effect.
-    pub fn cost_model(&self) -> SpanCostModel {
-        self.cost_model
-    }
-
-    /// Replaces the span cost model. Call before the run starts so
-    /// every span is costed consistently.
-    pub fn set_cost_model(&mut self, model: SpanCostModel) {
-        self.cost_model = model;
-    }
-
     /// Current tick: the 1-based position of the last access begun.
     pub fn ticks(&self) -> u64 {
         self.tick

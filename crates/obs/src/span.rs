@@ -11,7 +11,7 @@
 //!
 //! The cost model mirrors the paper's evaluation metric: lower levels
 //! are slower, so work that reaches level `l` is weighted by
-//! `weight(l)`. The default doubles per level (`1 << l`), matching the
+//! `weight(l)`. The weights double per level (`1 << l`), matching the
 //! usual order-of-magnitude latency gap between buffer-cache tiers; the
 //! weights are plain integers so span costs stay bit-exact.
 
@@ -49,26 +49,6 @@ impl SpanCostModel {
         SpanCostModel { weights }
     }
 
-    /// Every level costs the same `w`; span cost degenerates to a
-    /// weighted count of cross-level operations.
-    pub fn uniform(w: u64) -> Self {
-        SpanCostModel { weights: [w; MAX_SPAN_LEVELS] }
-    }
-
-    /// A model from explicit weights; missing entries repeat the last
-    /// given weight (or 1 if `weights` is empty).
-    pub fn from_weights(weights: &[u64]) -> Self {
-        let mut table = [1u64; MAX_SPAN_LEVELS];
-        let mut last = 1u64;
-        for (i, slot) in table.iter_mut().enumerate() {
-            if let Some(&w) = weights.get(i) {
-                last = w;
-            }
-            *slot = last;
-        }
-        SpanCostModel { weights: table }
-    }
-
     /// The full weight table, for export into flight-recorder dumps.
     pub fn weights(&self) -> &[u64; MAX_SPAN_LEVELS] {
         &self.weights
@@ -95,15 +75,5 @@ mod tests {
         assert_eq!(m.weight(3), 8);
         // Beyond the table: clamps instead of overflowing.
         assert_eq!(m.weight(100), 1 << (MAX_SPAN_LEVELS - 1));
-    }
-
-    #[test]
-    fn from_weights_repeats_the_tail() {
-        let m = SpanCostModel::from_weights(&[1, 10]);
-        assert_eq!(m.weight(0), 1);
-        assert_eq!(m.weight(1), 10);
-        assert_eq!(m.weight(2), 10);
-        assert_eq!(SpanCostModel::from_weights(&[]).weight(5), 1);
-        assert_eq!(SpanCostModel::uniform(3).weight(7), 3);
     }
 }

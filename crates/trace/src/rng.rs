@@ -3,7 +3,12 @@
 //! Every synthetic workload in this workspace is seeded, so a given trace
 //! constructor always produces the same reference stream. This module also
 //! hosts the in-repo Zipf sampler (the paper's `zipf` trace references block
-//! `i` with probability proportional to `1/i`).
+//! `i` with probability proportional to `1/i`). It inverts the CDF through
+//! a guide table (Chen & Asau's indexed search), O(1) expected work per
+//! draw; every uniform maps to the rank a binary search over the same CDF
+//! would find, so the streams, and every number simulated from them, are
+//! those of the original binary-search sampler
+//! (`crates/trace/tests/golden/trace_digests.txt` pins them).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -24,8 +29,15 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 
 /// Samples ranks `0..n` with probability proportional to `1/(rank+1)^theta`.
 ///
-/// Sampling is inverse-CDF over a precomputed cumulative table, O(log n) per
-/// draw. `theta = 1.0` gives the classic Zipf distribution used by the
+/// Sampling is inverse-CDF over a precomputed cumulative table, searched
+/// through a guide table of `m = max(n/4, 1)` buckets: `guide[k]` is the
+/// number of CDF entries below `k/m`, so a draw `u` starts at its
+/// bucket's entry and scans the few entries that share the bucket, O(1)
+/// expected per draw whatever the skew. The rank it returns is the first
+/// whose CDF entry reaches `u`, exactly what a binary search over the
+/// strictly increasing CDF returns, so the stream depends only on the
+/// seed.
+/// `theta = 1.0` gives the classic Zipf distribution used by the
 /// paper's `zipf` trace, "typical for file references in Web servers".
 ///
 /// # Examples
@@ -40,6 +52,7 @@ pub fn seeded_rng(seed: u64) -> StdRng {
 #[derive(Clone, Debug)]
 pub struct Zipf {
     cdf: Vec<f64>,
+    guide: Vec<usize>,
 }
 
 impl Zipf {
@@ -61,13 +74,21 @@ impl Zipf {
             cdf.push(acc);
         }
         let total = acc;
-        for v in &mut cdf {
+        let m = (n / 4).max(1);
+        let mut guide = Vec::with_capacity(m);
+        for (i, v) in cdf.iter_mut().enumerate() {
             *v /= total;
+            // Guard against floating point drift: the last entry must be
+            // 1.0 so every uniform draw lands inside the table, and every
+            // bucket edge below it gets its guide entry.
+            if i == n - 1 {
+                *v = 1.0;
+            }
+            while guide.len() < m && guide.len() as f64 / m as f64 <= *v {
+                guide.push(i);
+            }
         }
-        // Guard against floating point drift: the last entry must be 1.0 so
-        // every uniform draw lands inside the table.
-        *cdf.last_mut().expect("non-empty cdf") = 1.0;
-        Zipf { cdf }
+        Zipf { cdf, guide }
     }
 
     /// Returns the number of ranks.
@@ -75,21 +96,35 @@ impl Zipf {
         self.cdf.len()
     }
 
-    /// Returns `true` if the sampler has exactly one rank (degenerate).
+    /// Returns `false`: [`Zipf::new`] refuses an empty support, so a
+    /// sampler always has at least one rank.
     pub fn is_empty(&self) -> bool {
         false
     }
 
     /// Draws one rank in `0..self.len()`.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let u: f64 = rng.gen();
-        match self
-            .cdf
-            .binary_search_by(|p| p.partial_cmp(&u).expect("cdf is finite"))
-        {
-            Ok(i) => i,
-            Err(i) => i.min(self.cdf.len() - 1),
+        self.rank_of(rng.gen())
+    }
+
+    /// The rank a uniform `u` in `[0, 1)` maps to: the first rank whose
+    /// CDF entry is not below `u`, clamped to the last rank.
+    ///
+    /// The scan starts at the guide entry of `u`'s bucket and first steps
+    /// back over entries not below `u`, so rounding in `u * m` can never
+    /// skip the answer, then forward over entries below it.
+    #[inline]
+    fn rank_of(&self, u: f64) -> usize {
+        let cdf = &self.cdf;
+        let m = self.guide.len();
+        let mut i = self.guide[((u * m as f64) as usize).min(m - 1)];
+        while i > 0 && cdf[i - 1] >= u {
+            i -= 1;
         }
+        while i < cdf.len() && cdf[i] < u {
+            i += 1;
+        }
+        i.min(cdf.len() - 1)
     }
 
     /// Returns the probability mass of `rank`.
@@ -195,6 +230,58 @@ mod tests {
         let mut rng = seeded_rng(3);
         for _ in 0..1000 {
             assert!(z.sample(&mut rng) < 3);
+        }
+    }
+
+    /// The binary-search sampler's rank: the first CDF entry not below
+    /// `u`, clamped to the last rank. On a strictly increasing CDF this is
+    /// what `binary_search_by` returned for every `u`.
+    fn partition_point_rank(z: &Zipf, u: f64) -> usize {
+        z.cdf.partition_point(|p| *p < u).min(z.cdf.len() - 1)
+    }
+
+    #[test]
+    fn rank_of_matches_the_binary_search_rank() {
+        for n in [1, 2, 7, 1000, 98_304] {
+            for theta in [0.0, 0.5, 1.0, 3.0] {
+                let z = Zipf::new(n, theta);
+                assert!(
+                    z.cdf.windows(2).all(|w| w[0] < w[1]),
+                    "n={n} θ={theta}: CDF not strictly increasing"
+                );
+                let m = z.guide.len();
+                assert_eq!(m, (n / 4).max(1), "n={n} θ={theta}: guide size");
+                for (k, &g) in z.guide.iter().enumerate() {
+                    let edge = k as f64 / m as f64;
+                    assert_eq!(
+                        g,
+                        z.cdf.partition_point(|p| *p < edge),
+                        "n={n} θ={theta} k={k}"
+                    );
+                }
+                // Every draw in one bucket scans from the same start, so
+                // probing all b entries of a bucket costs O(b²) steps. At
+                // θ = 3 the last of the 24,576 buckets holds about 98,200
+                // of the 98,304 ranks (10¹⁰ debug-build steps); probe the
+                // first 512 entries of each bucket and every 97th rank.
+                let near_start = |i: usize, p: f64| {
+                    i - z.guide[((p * m as f64) as usize).min(m - 1)].min(i) < 512
+                };
+                let entries = z
+                    .cdf
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, &p)| near_start(i, p) || i % 97 == 0)
+                    .flat_map(|(_, &p)| [p.next_down(), p, p.next_up()]);
+                let edges = (0..m).map(|k| k as f64 / m as f64);
+                for u in entries.chain(edges).chain([0.0, 1.0f64.next_down()]) {
+                    assert_eq!(
+                        z.rank_of(u),
+                        partition_point_rank(&z, u),
+                        "n={n} θ={theta} u={u:e}"
+                    );
+                }
+            }
         }
     }
 
