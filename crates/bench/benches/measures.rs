@@ -40,7 +40,9 @@ fn scaling_trace(d: u64) -> Trace {
     let mut blocks: Vec<BlockId> = (0..d).map(BlockId::new).collect();
     let mut x = 0x9E37_79B9_7F4A_7C15u64;
     for _ in 0..9 * d {
-        x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        x = x
+            .wrapping_mul(6364136223846793005)
+            .wrapping_add(1442695040888963407);
         // Square the unit draw for a head-skewed (zipf-like) pick.
         let u = (x >> 11) as f64 / (1u64 << 53) as f64;
         blocks.push(BlockId::new(((u * u * d as f64) as u64).min(d - 1)));
@@ -53,11 +55,9 @@ fn bench_scaling(c: &mut Criterion) {
     for d in [1_000u64, 10_000, 100_000] {
         let trace = scaling_trace(d);
         group.throughput(Throughput::Elements(trace.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("indexed_lld_r", d),
-            &trace,
-            |b, t| b.iter(|| analyze(t, MeasureKind::LldR, 10).total_references),
-        );
+        group.bench_with_input(BenchmarkId::new("indexed_lld_r", d), &trace, |b, t| {
+            b.iter(|| analyze(t, MeasureKind::LldR, 10).total_references)
+        });
         // The naive reference is O(N * D log D): feasible at 1k and
         // 10k, hopeless at 100k (which is exactly the gap the indexed
         // analyzer closes) — skip it there.

@@ -96,8 +96,7 @@ pub fn claim_rule(scale: Scale) -> Vec<AblationResult> {
             ("paper-strict", ClaimRule::PaperStrict),
         ] {
             let mut ulc = UlcMulti::new(
-                UlcMultiConfig::uniform(w.clients, w.client_blocks, server)
-                    .with_claim_rule(rule),
+                UlcMultiConfig::uniform(w.clients, w.client_blocks, server).with_claim_rule(rule),
             );
             let stats = simulate(&mut ulc, &w.trace, w.trace.warmup_len());
             out.push(AblationResult {

@@ -25,7 +25,10 @@ fn main() {
     let samples = trace_measures(&trace);
 
     println!("Figure 1: measure evolution (block 0 re-referenced at recency 3)\n");
-    println!("{:>4} {:>6} {:>6} {:>8} {:>6} {:>6}", "ref", "block", "R", "LLD-R", "ND", "NLD");
+    println!(
+        "{:>4} {:>6} {:>6} {:>8} {:>6} {:>6}",
+        "ref", "block", "R", "LLD-R", "ND", "NLD"
+    );
     for (i, s) in samples.iter().enumerate() {
         println!(
             "{:>4} {:>6} {:>6} {:>8} {:>6} {:>6}",

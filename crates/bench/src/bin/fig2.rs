@@ -1,6 +1,6 @@
 //! Regenerates Figure 2. Usage: `fig2 [--scale=smoke|default|full]`.
 
-use ulc_bench::{maybe_write_json, fig2, Scale};
+use ulc_bench::{fig2, maybe_write_json, Scale};
 
 fn main() {
     let scale = Scale::from_args();

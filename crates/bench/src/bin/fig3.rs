@@ -1,6 +1,6 @@
 //! Regenerates Figure 3. Usage: `fig3 [--scale=smoke|default|full]`.
 
-use ulc_bench::{maybe_write_json, fig3, Scale};
+use ulc_bench::{fig3, maybe_write_json, Scale};
 
 fn main() {
     let scale = Scale::from_args();

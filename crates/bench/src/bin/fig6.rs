@@ -1,6 +1,6 @@
 //! Regenerates Figure 6. Usage: `fig6 [--scale=smoke|default|full]`.
 
-use ulc_bench::{maybe_write_json, fig6, Scale};
+use ulc_bench::{fig6, maybe_write_json, Scale};
 
 fn main() {
     let scale = Scale::from_args();

@@ -1,6 +1,6 @@
 //! Regenerates Figure 7. Usage: `fig7 [--scale=smoke|default|full]`.
 
-use ulc_bench::{maybe_write_json, fig7, Scale};
+use ulc_bench::{fig7, maybe_write_json, Scale};
 
 fn main() {
     let scale = Scale::from_args();

@@ -33,15 +33,12 @@ fn input_path() -> String {
 }
 
 fn read_export(path: &str) -> FlightExport {
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
-    serde_json::from_str(&text)
-        .unwrap_or_else(|e| panic!("{path} is not a flight export: {e:?}"))
+    let text = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}"));
+    serde_json::from_str(&text).unwrap_or_else(|e| panic!("{path} is not a flight export: {e:?}"))
 }
 
 fn write_text(path: &str, text: &str) {
-    std::fs::write(path, text)
-        .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+    std::fs::write(path, text).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     eprintln!("wrote {path}");
 }
 
@@ -81,7 +78,10 @@ fn cmd_export() {
     };
     let ok = report_verification(&export);
     let out = arg_value("--out=").unwrap_or_else(|| "FLIGHT_obs.json".to_string());
-    write_text(&out, &serde_json::to_string_pretty(&export).expect("export serialises"));
+    write_text(
+        &out,
+        &serde_json::to_string_pretty(&export).expect("export serialises"),
+    );
     if !ok {
         std::process::exit(1);
     }

@@ -72,8 +72,8 @@ fn run_bench(scale: Scale, json: Option<&str>, baseline: Option<&str>) -> bool {
     let report = throughput::run(scale);
     println!("{}", throughput::render(&report));
     if let Some(path) = json {
-        let file = std::fs::File::create(path)
-            .unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
+        let file =
+            std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
         serde_json::to_writer_pretty(file, &report).expect("report serialises");
         eprintln!("wrote {path}");
     }
@@ -92,8 +92,7 @@ fn run_bench(scale: Scale, json: Option<&str>, baseline: Option<&str>) -> bool {
     let Some(path) = baseline else { return ok };
     let text = std::fs::read_to_string(path)
         .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let base: throughput::ThroughputReport =
-        serde_json::from_str(&text).expect("baseline parses");
+    let base: throughput::ThroughputReport = serde_json::from_str(&text).expect("baseline parses");
     let failures = throughput::check_against_baseline(&report, &base, MAX_BENCH_REGRESSION);
     if failures.is_empty() {
         eprintln!("bench gate: ok ({} baseline rows)", base.rows.len());
@@ -134,7 +133,11 @@ fn main() {
     sweep.add("fig6", move || fig6::render(&fig6::run(scale)));
     sweep.add("fig7", move || {
         let points = fig7::run(scale);
-        format!("{}\n{}", fig7::render(&points), fig7::render_detail(&points))
+        format!(
+            "{}\n{}",
+            fig7::render(&points),
+            fig7::render_detail(&points)
+        )
     });
     sweep.add("degradation", move || {
         degradation::render(&degradation::run(scale, &faults))

@@ -93,11 +93,7 @@ fn load_workload(args: &Args) -> Trace {
     }
 }
 
-fn build_schemes(
-    name: &str,
-    caps: &[usize],
-    clients: usize,
-) -> Vec<Box<dyn MultiLevelPolicy>> {
+fn build_schemes(name: &str, caps: &[usize], clients: usize) -> Vec<Box<dyn MultiLevelPolicy>> {
     let multi_client = clients > 1;
     let client_caps = vec![caps[0]; clients];
     let shared: Vec<usize> = caps[1..].to_vec();

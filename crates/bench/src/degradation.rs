@@ -72,7 +72,12 @@ pub fn workload(scale: Scale) -> Workload {
     }
 }
 
-fn point(scheme: &mut dyn MultiLevelPolicy, w: &Workload, drop: f64, name: &str) -> DegradationPoint {
+fn point(
+    scheme: &mut dyn MultiLevelPolicy,
+    w: &Workload,
+    drop: f64,
+    name: &str,
+) -> DegradationPoint {
     let costs = CostModel::paper_two_level();
     let stats: SimStats = simulate(scheme, &w.trace, w.trace.warmup_len());
     DegradationPoint {
@@ -96,8 +101,12 @@ pub fn run_cell(w: &Workload, base: &FaultScenario, drop: f64) -> Vec<Degradatio
         .with_plane(FaultyPlane::new(scenario.clone()));
     out.push(point(&mut ind, w, drop, "indLRU"));
 
-    let mut uni = UniLru::multi_client(caps.clone(), vec![w.server_blocks], UniLruVariant::MruInsert)
-        .with_plane(FaultyPlane::new(scenario.clone()));
+    let mut uni = UniLru::multi_client(
+        caps.clone(),
+        vec![w.server_blocks],
+        UniLruVariant::MruInsert,
+    )
+    .with_plane(FaultyPlane::new(scenario.clone()));
     out.push(point(&mut uni, w, drop, "uniLRU"));
 
     let mut ulc = UlcMulti::new(UlcMultiConfig {

@@ -113,9 +113,7 @@ mod tests {
         );
         // NLD carries some one-time insertion churn at short trace
         // lengths, so the offline gap is asserted at 2× rather than 4×.
-        assert!(
-            mean(curves, "glimpse", "NLD") < mean(curves, "glimpse", "ND") / 2.0
-        );
+        assert!(mean(curves, "glimpse", "NLD") < mean(curves, "glimpse", "ND") / 2.0);
     }
 
     #[test]

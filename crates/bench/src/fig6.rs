@@ -223,7 +223,11 @@ mod tests {
         // (50.3/45.1/3.4) with ~1.4% demotion rates.
         let r = results();
         let uni = find(r, "tpcc1", "uniLRU");
-        assert!(uni.demotion_rates[0] > 0.9, "uni b1 = {:?}", uni.demotion_rates);
+        assert!(
+            uni.demotion_rates[0] > 0.9,
+            "uni b1 = {:?}",
+            uni.demotion_rates
+        );
         assert!(uni.hit_rates[0] < 0.1, "uni h1 = {:?}", uni.hit_rates);
         assert!(uni.hit_rates[1] > 0.7, "uni h2 = {:?}", uni.hit_rates);
         let ulc = find(r, "tpcc1", "ULC");

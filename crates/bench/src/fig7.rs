@@ -292,7 +292,10 @@ mod tests {
         // under ULC. Our uniLRU column is the best variant, which may
         // avoid demotions entirely, so compare ULC against the plain
         // MRU-insert scheme directly.
-        let w = workloads(Scale::Smoke).into_iter().find(|w| w.name == "db2").unwrap();
+        let w = workloads(Scale::Smoke)
+            .into_iter()
+            .find(|w| w.name == "db2")
+            .unwrap();
         let server = w.server_sweep[1];
         let costs = CostModel::paper_two_level();
         let caps = vec![w.client_blocks; w.clients];

@@ -316,7 +316,10 @@ fn dump_hists(m: &MetricsRegistry) -> Vec<HistogramDump> {
                 name: id.name().to_string(),
                 count: h.count(),
                 total: h.total(),
-                buckets: h.nonzero().map(|(lo, hi, n)| BucketDump { lo, hi, n }).collect(),
+                buckets: h
+                    .nonzero()
+                    .map(|(lo, hi, n)| BucketDump { lo, hi, n })
+                    .collect(),
             }
         })
         .collect()
@@ -391,7 +394,9 @@ fn flight_cell<P: MultiLevelPolicy + Observe>(
     } else {
         "n/a".to_string()
     };
-    let timeline = rec.timeline().expect("flight cells always attach a timeline");
+    let timeline = rec
+        .timeline()
+        .expect("flight cells always attach a timeline");
     let windows = timeline
         .windows()
         .iter()
@@ -739,7 +744,10 @@ fn sum_window_hists(cell: &FlightCell, name: &str) -> (u64, u64, Vec<(u64, u64)>
 pub fn verify_export(e: &FlightExport) -> Vec<String> {
     let mut errs = Vec::new();
     if e.version != FLIGHT_VERSION {
-        errs.push(format!("schema version {} (tool expects {FLIGHT_VERSION})", e.version));
+        errs.push(format!(
+            "schema version {} (tool expects {FLIGHT_VERSION})",
+            e.version
+        ));
     }
     for c in &e.cells {
         let tag = format!("{}/{}", c.protocol, c.workload);
@@ -747,7 +755,10 @@ pub fn verify_export(e: &FlightExport) -> Vec<String> {
             errs.push(format!("{tag}: conservation: {}", c.conservation));
         }
         if c.window_conservation != "ok" {
-            errs.push(format!("{tag}: window conservation: {}", c.window_conservation));
+            errs.push(format!(
+                "{tag}: window conservation: {}",
+                c.window_conservation
+            ));
         }
         if c.residency.starts_with("failed") {
             errs.push(format!("{tag}: residency {}", c.residency));
@@ -818,7 +829,12 @@ impl Serialize for Raw {
 }
 
 fn obj(fields: Vec<(&str, Value)>) -> Value {
-    Value::Object(fields.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    Value::Object(
+        fields
+            .into_iter()
+            .map(|(k, v)| (k.to_string(), v))
+            .collect(),
+    )
 }
 
 fn s(v: impl Into<String>) -> Value {
@@ -959,7 +975,11 @@ pub fn render_report(e: &FlightExport) -> String {
     }
     out.push_str("\ndemotion burstiness (peak window / mean per window):\n");
     for b in &e.derived.burstiness {
-        let mean = if b.windows == 0 { 0 } else { b.total_demotions / b.windows as u64 };
+        let mean = if b.windows == 0 {
+            0
+        } else {
+            b.total_demotions / b.windows as u64
+        };
         out.push_str(&format!(
             "  {:<26}peak {:>8} @ window {:<5} mean {:>8} total {:>10}\n",
             format!("{}/{}", b.protocol, b.workload),
@@ -996,7 +1016,11 @@ mod tests {
             buckets: vec![
                 BucketDump { lo: 1, hi: 1, n: 1 },
                 BucketDump { lo: 2, hi: 3, n: 2 },
-                BucketDump { lo: 64, hi: 127, n: 1 },
+                BucketDump {
+                    lo: 64,
+                    hi: 127,
+                    n: 1,
+                },
             ],
         };
         let windows = window_demotions
@@ -1005,9 +1029,18 @@ mod tests {
             .map(|(index, &d)| WindowDump {
                 index,
                 counters: vec![
-                    CounterDump { name: "accesses".into(), value: 10 },
-                    CounterDump { name: "hits".into(), value: 5 + d },
-                    CounterDump { name: "demotions".into(), value: d },
+                    CounterDump {
+                        name: "accesses".into(),
+                        value: 10,
+                    },
+                    CounterDump {
+                        name: "hits".into(),
+                        value: 5 + d,
+                    },
+                    CounterDump {
+                        name: "demotions".into(),
+                        value: d,
+                    },
                 ],
                 per_level: vec![LevelDump {
                     level: 0,
@@ -1019,7 +1052,11 @@ mod tests {
                 }],
                 // The whole span-cost batch lands in the first window so
                 // the window sums reconcile with the cell histogram.
-                histograms: if index == 0 { vec![span_cost.clone()] } else { Vec::new() },
+                histograms: if index == 0 {
+                    vec![span_cost.clone()]
+                } else {
+                    Vec::new()
+                },
             })
             .collect::<Vec<_>>();
         let total_d: u64 = window_demotions.iter().sum();
@@ -1031,9 +1068,18 @@ mod tests {
             refs: 10 * windows.len(),
             truncated: false,
             counters: vec![
-                CounterDump { name: "accesses".into(), value: 10 * windows.len() as u64 },
-                CounterDump { name: "hits".into(), value: total_h },
-                CounterDump { name: "demotions".into(), value: total_d },
+                CounterDump {
+                    name: "accesses".into(),
+                    value: 10 * windows.len() as u64,
+                },
+                CounterDump {
+                    name: "hits".into(),
+                    value: total_h,
+                },
+                CounterDump {
+                    name: "demotions".into(),
+                    value: total_d,
+                },
             ],
             per_level: vec![LevelDump {
                 level: 0,
@@ -1061,9 +1107,21 @@ mod tests {
             count: 100,
             total: 0,
             buckets: vec![
-                BucketDump { lo: 1, hi: 1, n: 60 },
-                BucketDump { lo: 2, hi: 3, n: 30 },
-                BucketDump { lo: 4, hi: 7, n: 10 },
+                BucketDump {
+                    lo: 1,
+                    hi: 1,
+                    n: 60,
+                },
+                BucketDump {
+                    lo: 2,
+                    hi: 3,
+                    n: 30,
+                },
+                BucketDump {
+                    lo: 4,
+                    hi: 7,
+                    n: 10,
+                },
             ],
         };
         assert_eq!(percentile_lower_bound(&h, 50), 1);
@@ -1071,7 +1129,12 @@ mod tests {
         assert_eq!(percentile_lower_bound(&h, 99), 4);
         assert_eq!(
             percentile_lower_bound(
-                &HistogramDump { name: "x".into(), count: 0, total: 0, buckets: vec![] },
+                &HistogramDump {
+                    name: "x".into(),
+                    count: 0,
+                    total: 0,
+                    buckets: vec![]
+                },
                 50
             ),
             0
@@ -1083,13 +1146,19 @@ mod tests {
         // ULC's window hits are 5+d, uniLRU's constant 5: with demotion
         // spikes only in later windows, ULC's cumulative rate leads only
         // from the first spike onward.
-        let cells = vec![tiny_cell("ULC", &[0, 0, 3, 3]), tiny_cell("uniLRU", &[0, 0, 0, 0])];
+        let cells = vec![
+            tiny_cell("ULC", &[0, 0, 3, 3]),
+            tiny_cell("uniLRU", &[0, 0, 0, 0]),
+        ];
         let x = find_crossover(&cells).expect("lead from window 2");
         assert_eq!(x.window, 2);
         assert_eq!(x.ulc_l0_hits, 4 + 4 + 7);
         assert_eq!(x.ulc_accesses, 30);
         // A lead that collapses at the end is not a crossover.
-        let cells = vec![tiny_cell("ULC", &[3, 0, 0, 0]), tiny_cell("uniLRU", &[0, 3, 3, 3])];
+        let cells = vec![
+            tiny_cell("ULC", &[3, 0, 0, 0]),
+            tiny_cell("uniLRU", &[0, 3, 3, 3]),
+        ];
         assert!(find_crossover(&cells).is_none());
     }
 
@@ -1115,7 +1184,9 @@ mod tests {
         // the window-sum reconciliation.
         let mut bad = export.clone();
         bad.cells[0].counters[1].value += 1;
-        assert!(verify_export(&bad).iter().any(|e| e.contains("counter hits")));
+        assert!(verify_export(&bad)
+            .iter()
+            .any(|e| e.contains("counter hits")));
         // Tampered derived data trips the recomputation check.
         let mut bad = export.clone();
         bad.derived.crossover = None;
@@ -1165,10 +1236,17 @@ mod tests {
         // At this scale the rings hold whole streams, so the residency
         // replay runs on both ULC cells (and verifies) and on no other.
         for c in &export.cells {
-            let want = if c.protocol == "ULC" { "verified" } else { "n/a" };
+            let want = if c.protocol == "ULC" {
+                "verified"
+            } else {
+                "n/a"
+            };
             assert_eq!(c.residency, want, "{}/{}", c.protocol, c.workload);
         }
-        assert_eq!(export.cells.iter().filter(|c| c.protocol == "ULC").count(), 2);
+        assert_eq!(
+            export.cells.iter().filter(|c| c.protocol == "ULC").count(),
+            2
+        );
         // The whole export round-trips and still verifies.
         let text = serde_json::to_string(&export).expect("serialises");
         let back: FlightExport = serde_json::from_str(&text).expect("parses");

@@ -22,7 +22,7 @@ use crate::{alloc_stats, cells, row, Scale};
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 use ulc_core::parallel::ShardedReplayer;
-use ulc_core::{UlcConfig, UlcMultiConfig, UlcMulti, UlcSingle};
+use ulc_core::{UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
 use ulc_hierarchy::{simulate, AccessOutcome, MultiLevelPolicy, SimStats, UniLru};
 use ulc_obs::Observe;
 use ulc_trace::{synthetic, Trace};
@@ -181,7 +181,11 @@ fn best_sharded_aps<F: Fn() -> UlcMulti>(build: F, trace: &Trace, threads: usize
 /// pre-filled runs, so the coordinator is where allocation pressure
 /// would surface. No recorder is attached: sharded replay cannot
 /// record.
-fn alloc_profile_sharded<F: Fn() -> UlcMulti>(build: F, trace: &Trace, threads: usize) -> (f64, f64) {
+fn alloc_profile_sharded<F: Fn() -> UlcMulti>(
+    build: F,
+    trace: &Trace,
+    threads: usize,
+) -> (f64, f64) {
     if !alloc_stats::enabled() || trace.is_empty() {
         return (0.0, 0.0);
     }
@@ -273,7 +277,12 @@ pub fn run(scale: Scale) -> ThroughputReport {
         let looping = cells::loop_100k(refs);
         rows.push(measure("ULC", "loop-100k", &looping, cells::ulc_loop));
         rows.push(measure("uniLRU", "loop-100k", &looping, cells::unilru_loop));
-        rows.push(measure("evict-reload", "loop-100k", &looping, cells::evict_reload_loop));
+        rows.push(measure(
+            "evict-reload",
+            "loop-100k",
+            &looping,
+            cells::evict_reload_loop,
+        ));
 
         let zipf = synthetic::zipf_small(refs);
         rows.push(measure("ULC", "zipf-small", &zipf, || {
@@ -284,7 +293,12 @@ pub fn run(scale: Scale) -> ThroughputReport {
         }));
 
         let multi = synthetic::httpd_multi(refs);
-        rows.push(measure("ULC-multi", "httpd-multi", &multi, cells::ulc_multi_httpd));
+        rows.push(measure(
+            "ULC-multi",
+            "httpd-multi",
+            &multi,
+            cells::ulc_multi_httpd,
+        ));
         let httpd_serial_aps = rows.last().expect("row just pushed").interned_aps;
         for threads in THREAD_COUNTS {
             rows.push(measure_sharded(
@@ -336,10 +350,7 @@ pub fn fmt_aps(aps: f64) -> String {
 /// Renders the report as a fixed-width table.
 pub fn render(report: &ThroughputReport) -> String {
     let mut s = String::new();
-    s.push_str(&format!(
-        "E9: engine throughput ({} scale)\n",
-        report.scale
-    ));
+    s.push_str(&format!("E9: engine throughput ({} scale)\n", report.scale));
     s.push_str(&row(
         "protocol",
         &[
@@ -388,8 +399,7 @@ const ALLOC_GATED_PROTOCOLS: [&str; 4] = ["ULC", "uniLRU", "evict-reload", "ULC-
 pub fn check_alloc_gate(report: &ThroughputReport) -> Vec<String> {
     let mut failures = Vec::new();
     for r in &report.rows {
-        if ALLOC_GATED_PROTOCOLS.contains(&r.protocol.as_str())
-            && r.steady_allocs_per_access > 0.0
+        if ALLOC_GATED_PROTOCOLS.contains(&r.protocol.as_str()) && r.steady_allocs_per_access > 0.0
         {
             failures.push(format!(
                 "{}/{}/{}@{}t: {:.6} steady-state allocations/access (contract: 0)",
@@ -473,7 +483,10 @@ pub fn check_shard_scaling(
             continue;
         }
         let Some(b) = baseline.rows.iter().find(|b| {
-            b.threads == 1 && b.protocol == c.protocol && b.workload == c.workload && b.refs == c.refs
+            b.threads == 1
+                && b.protocol == c.protocol
+                && b.workload == c.workload
+                && b.refs == c.refs
         }) else {
             continue;
         };
@@ -493,9 +506,7 @@ pub fn check_shard_scaling(
         }
     }
     if checked == 0 {
-        failures.push(
-            "no sharded row had a serial baseline row to scale against".to_string(),
-        );
+        failures.push("no sharded row had a serial baseline row to scale against".to_string());
     }
     failures
 }
@@ -590,11 +601,20 @@ mod tests {
         // A serial and a sharded row of the same cell must not be
         // confused: the sharded row regressing below the serial floor is
         // only caught when matched against the sharded baseline.
-        let base = report(vec![r("ULC-multi", 1000.0), sharded("ULC-multi", 8, 4000.0)]);
-        let cur = report(vec![r("ULC-multi", 1000.0), sharded("ULC-multi", 8, 1000.0)]);
+        let base = report(vec![
+            r("ULC-multi", 1000.0),
+            sharded("ULC-multi", 8, 4000.0),
+        ]);
+        let cur = report(vec![
+            r("ULC-multi", 1000.0),
+            sharded("ULC-multi", 8, 1000.0),
+        ]);
         let fails = check_against_baseline(&cur, &base, 0.25);
         assert_eq!(fails.len(), 1, "{fails:?}");
-        assert!(fails[0].contains("ULC-multi/loop-100k/1000@8t"), "{fails:?}");
+        assert!(
+            fails[0].contains("ULC-multi/loop-100k/1000@8t"),
+            "{fails:?}"
+        );
     }
 
     #[test]

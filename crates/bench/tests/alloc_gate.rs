@@ -14,7 +14,9 @@
 
 use ulc_bench::alloc_stats::{reset, snapshot};
 use ulc_core::{ShardedReplayer, UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
-use ulc_hierarchy::{AccessOutcome, EvictionBased, MultiLevelPolicy, SimStats, UniLru, UniLruVariant};
+use ulc_hierarchy::{
+    AccessOutcome, EvictionBased, MultiLevelPolicy, SimStats, UniLru, UniLruVariant,
+};
 #[cfg(feature = "obs")]
 use ulc_obs::Observe;
 use ulc_trace::patterns::{LoopingPattern, Pattern};
@@ -44,7 +46,11 @@ fn settled_engines_do_not_allocate_per_access() {
     assert_eq!(steady_allocs(ulc, &trace), 0, "ULC steady state allocated");
 
     let uni = UniLru::multi_client(vec![400], vec![400, 400], UniLruVariant::MruInsert);
-    assert_eq!(steady_allocs(uni, &trace), 0, "uniLRU steady state allocated");
+    assert_eq!(
+        steady_allocs(uni, &trace),
+        0,
+        "uniLRU steady state allocated"
+    );
 
     // Eight disjoint clients, each with its own dense level table.
     let db2 = synthetic::db2_multi(40_000, 16_000);
@@ -124,14 +130,22 @@ fn settled_engines_do_not_allocate_per_access_while_recording() {
 
     let trace = LoopingPattern::new(900).generate(60_000);
     let ulc = with_recorder(UlcSingle::new(UlcConfig::new(vec![400, 400, 400])));
-    assert_eq!(steady_allocs(ulc, &trace), 0, "ULC allocated while recording");
+    assert_eq!(
+        steady_allocs(ulc, &trace),
+        0,
+        "ULC allocated while recording"
+    );
 
     let uni = with_recorder(UniLru::multi_client(
         vec![400],
         vec![400, 400],
         UniLruVariant::MruInsert,
     ));
-    assert_eq!(steady_allocs(uni, &trace), 0, "uniLRU allocated while recording");
+    assert_eq!(
+        steady_allocs(uni, &trace),
+        0,
+        "uniLRU allocated while recording"
+    );
 
     let db2 = synthetic::db2_multi(40_000, 16_000);
     let uni = with_recorder(UniLru::multi_client(

@@ -110,7 +110,11 @@ fn bench_report_survives_a_round_trip_with_identical_schema() {
     let report = representative_report();
     let text = serde_json::to_string(&report).expect("serialises");
     let back: ThroughputReport = serde_json::from_str(&text).expect("deserialises");
-    assert_eq!(paths_of(&report), paths_of(&back), "schema changed across a JSON round trip");
+    assert_eq!(
+        paths_of(&report),
+        paths_of(&back),
+        "schema changed across a JSON round trip"
+    );
 }
 
 #[cfg(feature = "obs")]
@@ -144,7 +148,10 @@ mod flight_export {
         assert_eq!(flight::verify_export(&export), Vec::<String>::new());
         let text = serde_json::to_string_pretty(&export).expect("serialises");
         let back: FlightExport = serde_json::from_str(&text).expect("parses");
-        assert_eq!(back, export, "export must survive the round trip bit-exactly");
+        assert_eq!(
+            back, export,
+            "export must survive the round trip bit-exactly"
+        );
         assert_eq!(flight::verify_export(&back), Vec::<String>::new());
         assert_eq!(flight::derive_report(&back.cells), back.derived);
         // The chrome conversion of the parsed export is itself valid JSON.

@@ -343,7 +343,11 @@ impl RecencyList {
     /// handed out downward), and the cached length matches. O(n log n).
     pub fn check_invariants(&self) {
         self.occ.check_invariants();
-        assert_eq!(self.occ.len(), self.id_at.len(), "occupancy covers the slots");
+        assert_eq!(
+            self.occ.len(),
+            self.id_at.len(),
+            "occupancy covers the slots"
+        );
         assert!(self.next_slot <= self.id_at.len(), "next_slot in range");
         let mut taken = 0usize;
         for (slot, &id) in self.id_at.iter().enumerate() {
@@ -352,19 +356,22 @@ impl RecencyList {
                 continue;
             }
             taken += 1;
-            assert_eq!(self.occ.get(slot), 1, "taken slot {slot} not marked occupied");
-            assert!(slot >= self.next_slot, "slot {slot} below the hand-out floor");
+            assert_eq!(
+                self.occ.get(slot),
+                1,
+                "taken slot {slot} not marked occupied"
+            );
+            assert!(
+                slot >= self.next_slot,
+                "slot {slot} below the hand-out floor"
+            );
             assert_eq!(
                 self.slot_of.get(id).copied(),
                 Some(slot),
                 "id {id} must map back to slot {slot}"
             );
         }
-        let forward = self
-            .slot_of
-            .iter()
-            .filter(|&&s| s != VACANT)
-            .count();
+        let forward = self.slot_of.iter().filter(|&&s| s != VACANT).count();
         assert_eq!(forward, taken, "slot_of and id_at must agree on membership");
         assert_eq!(self.len, taken, "len must count the members");
     }
@@ -520,9 +527,9 @@ impl LazyMinTree {
             return self.min[node];
         }
         let mid = lo + (hi - lo) / 2;
-        let children = self
-            .resolved_min(2 * node, lo, mid)
-            .min(self.resolved_min(2 * node + 1, mid, hi));
+        let children =
+            self.resolved_min(2 * node, lo, mid)
+                .min(self.resolved_min(2 * node + 1, mid, hi));
         let expect = children + self.lazy[node];
         assert_eq!(
             self.min[node], expect,

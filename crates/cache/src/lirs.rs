@@ -25,7 +25,9 @@ use std::hash::Hash;
 enum Status {
     Lir,
     /// HIR; the flag records residency.
-    Hir { resident: bool },
+    Hir {
+        resident: bool,
+    },
 }
 
 /// A capacity-bounded LIRS cache.
@@ -98,7 +100,10 @@ impl<K: Eq + Hash + Clone> Lirs<K> {
     /// capacity bounds hold. O(n). Panics on the first violation.
     pub fn check_invariants(&self) {
         assert!(self.resident <= self.capacity, "residency within capacity");
-        assert!(self.lir_count <= self.lir_capacity, "LIR set within its bound");
+        assert!(
+            self.lir_count <= self.lir_capacity,
+            "LIR set within its bound"
+        );
         let (mut lir, mut hir_resident, mut hir_history) = (0usize, 0usize, 0usize);
         for (key, status) in self.status.iter() {
             match status {
@@ -217,10 +222,8 @@ impl<K: Eq + Hash + Clone> Lirs<K> {
         };
         debug_assert!(matches!(self.status.get(&bottom), Some(Status::Lir)));
         self.stack.remove(&bottom);
-        self.status.insert(
-            bottom.clone(),
-            Status::Hir { resident: true },
-        );
+        self.status
+            .insert(bottom.clone(), Status::Hir { resident: true });
         self.queue.touch(bottom);
         self.lir_count -= 1;
         self.prune();
@@ -231,7 +234,8 @@ impl<K: Eq + Hash + Clone> Lirs<K> {
         let victim = self.queue.pop_bottom()?;
         // Keep its stack history (if any) as a non-resident HIR entry.
         if self.stack.contains(&victim) {
-            self.status.insert(victim.clone(), Status::Hir { resident: false });
+            self.status
+                .insert(victim.clone(), Status::Hir { resident: false });
         } else {
             self.status.remove(&victim);
         }
@@ -249,7 +253,10 @@ impl<K: Eq + Hash + Clone> Lirs<K> {
                 break;
             }
             self.stack.remove(&bottom);
-            if matches!(self.status.get(&bottom), Some(Status::Hir { resident: false })) {
+            if matches!(
+                self.status.get(&bottom),
+                Some(Status::Hir { resident: false })
+            ) {
                 self.status.remove(&bottom);
             }
         }
@@ -310,7 +317,8 @@ impl<K: Eq + Hash + Clone> Lirs<K> {
                     self.lir_count += 1;
                     self.demote_bottom_lir();
                 } else {
-                    self.status.insert(key.clone(), Status::Hir { resident: true });
+                    self.status
+                        .insert(key.clone(), Status::Hir { resident: true });
                     self.queue.touch(key);
                 }
                 self.enforce_history_limit();
@@ -421,8 +429,8 @@ mod tests {
         for _ in 0..20_000 {
             x = x.wrapping_mul(2862933555777941757).wrapping_add(13);
             // Geometric-ish depth.
-            let d = ((x >> 33) % 64) as usize * ((x >> 50) % 2) as usize
-                + ((x >> 12) % 32) as usize;
+            let d =
+                ((x >> 33) % 64) as usize * ((x >> 50) % 2) as usize + ((x >> 12) % 32) as usize;
             let k = stack.remove(d.min(stack.len() - 1));
             stack.insert(0, k);
             if lirs.access(k).is_hit() {

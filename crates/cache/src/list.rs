@@ -634,7 +634,9 @@ mod tests {
         let mut handles: Vec<(NodeHandle, u64)> = Vec::new();
         let mut x = 0x12345678u64;
         for step in 0..5000u64 {
-            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
             match x % 4 {
                 0 | 1 => {
                     let h = l.push_front(step);

@@ -133,10 +133,7 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
             let Some(head) = self.queues[q].bottom().cloned() else {
                 continue;
             };
-            let expired = self
-                .meta
-                .get(&head)
-                .is_some_and(|m| m.expire_at < self.now);
+            let expired = self.meta.get(&head).is_some_and(|m| m.expire_at < self.now);
             if expired {
                 self.queues[q].remove(&head);
                 // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
@@ -160,10 +157,7 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
     }
 
     fn evict(&mut self) -> Option<K> {
-        let victim = self
-            .queues
-            .iter()
-            .find_map(|q| q.bottom().cloned())?;
+        let victim = self.queues.iter().find_map(|q| q.bottom().cloned())?;
         let meta = self.meta.remove(&victim).expect("victim has metadata");
         self.queues[meta.queue].remove(&victim);
         // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
@@ -357,7 +351,7 @@ mod tests {
         m.access(1); // queue 1
         m.access(2); // queue 0
         m.access(3); // queue 0
-        // Cache full; next miss evicts from queue 0, not block 1.
+                     // Cache full; next miss evicts from queue 0, not block 1.
         m.access(4);
         assert!(m.contains(&1));
         assert!(!m.contains(&2), "oldest queue-0 block evicted first");

@@ -46,9 +46,11 @@
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
 use ulc_cache::{LinkedSlab, NodeHandle};
-use ulc_hierarchy::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
+use ulc_hierarchy::plane::{
+    DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate,
+};
 use ulc_hierarchy::{AccessOutcome, FaultSummary, MultiLevelPolicy};
-use ulc_obs::{Observe, ObsHandle};
+use ulc_obs::{ObsHandle, Observe};
 use ulc_trace::{BlockId, BlockMap, ClientId};
 
 /// A block's row in the server's `gLRU`: its node in the request-time
@@ -300,7 +302,10 @@ impl UlcMulti {
                 // generous multiple keeps the steady phase allocation-free
                 // (§5f) without changing behaviour if it is ever exceeded.
                 stack.reserve_blocks(2 * (c + config.server_capacity));
-                ClientState { stack, dirty: false }
+                ClientState {
+                    stack,
+                    dirty: false,
+                }
             })
             .collect();
         UlcMulti {
@@ -832,7 +837,8 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
         self.debug_validate();
 
         out.hit_level = hit_level;
-        out.demotions.copy_from_slice(self.scratch.demotions.as_slice());
+        out.demotions
+            .copy_from_slice(self.scratch.demotions.as_slice());
     }
 
     #[inline]
@@ -981,8 +987,20 @@ mod tests {
     #[test]
     fn multi_client_traces_run_clean() {
         for (name, t, clients, ccap, scap) in [
-            ("httpd", synthetic::httpd_multi(40_000), 7usize, 256usize, 2048usize),
-            ("openmail", synthetic::openmail(40_000, 24_000), 6, 512, 2048),
+            (
+                "httpd",
+                synthetic::httpd_multi(40_000),
+                7usize,
+                256usize,
+                2048usize,
+            ),
+            (
+                "openmail",
+                synthetic::openmail(40_000, 24_000),
+                6,
+                512,
+                2048,
+            ),
             ("db2", synthetic::db2_multi(40_000, 16_000), 8, 256, 2048),
         ] {
             let mut p = UlcMulti::new(UlcMultiConfig::uniform(clients, ccap, scap));
@@ -1010,9 +1028,8 @@ mod tests {
 
     #[test]
     fn paper_strict_rule_rejects_cold_claims_into_a_full_server() {
-        let mut p = UlcMulti::new(
-            UlcMultiConfig::uniform(2, 1, 2).with_claim_rule(ClaimRule::PaperStrict),
-        );
+        let mut p =
+            UlcMulti::new(UlcMultiConfig::uniform(2, 1, 2).with_claim_rule(ClaimRule::PaperStrict));
         // Client 0 fills its cache and the server.
         p.access(ClientId::new(0), b(0));
         p.access(ClientId::new(0), b(1));
@@ -1092,8 +1109,8 @@ mod tests {
         // be picked up by a later access's leading drain (directives, on
         // any client's access) or by the owner's next reply (notices).
         let scenario = FaultScenario::zero(3).with_delay(1.0, 1);
-        let mut p = UlcMulti::new(UlcMultiConfig::uniform(2, 1, 1))
-            .with_plane(FaultyPlane::new(scenario));
+        let mut p =
+            UlcMulti::new(UlcMultiConfig::uniform(2, 1, 1)).with_plane(FaultyPlane::new(scenario));
         let (c0, c1) = (ClientId::new(0), ClientId::new(1));
         p.access(c0, b(0)); // client 0's private cache
         p.access(c0, b(1)); // directs the server: Retrieve(b1, ·, 2)

@@ -260,8 +260,7 @@ mod tests {
         let mut rng = ulc_trace::seeded_rng(0xabcdef);
         for caps in [vec![2, 3], vec![1, 1, 1], vec![4, 2, 3], vec![5]] {
             for universe in [4u64, 8, 16, 40] {
-                let blocks: Vec<u64> =
-                    (0..400).map(|_| rng.gen_range(0..universe)).collect();
+                let blocks: Vec<u64> = (0..400).map(|_| rng.gen_range(0..universe)).collect();
                 check_equivalence(&caps, &blocks);
             }
         }

@@ -11,7 +11,7 @@ use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
 use ulc_cache::LruStack;
 use ulc_hierarchy::{AccessOutcome, MultiLevelPolicy};
-use ulc_obs::{Observe, ObsHandle};
+use ulc_obs::{ObsHandle, Observe};
 use ulc_trace::{BlockId, ClientId};
 
 /// Configuration for the single-client ULC protocol.
@@ -64,8 +64,7 @@ impl MessageStats {
 
     /// Total messages sent.
     pub fn total(&self) -> u64 {
-        self.retrieves_by_source.iter().sum::<u64>()
-            + self.demotes_by_boundary.iter().sum::<u64>()
+        self.retrieves_by_source.iter().sum::<u64>() + self.demotes_by_boundary.iter().sum::<u64>()
     }
 }
 
@@ -194,7 +193,8 @@ impl MultiLevelPolicy for UlcSingle {
             // The stack still observes the reference for its history.
             let res = self.stack.access_into(block, &mut self.scratch);
             out.hit_level = Some(0);
-            out.demotions.copy_from_slice(self.scratch.demotions.as_slice());
+            out.demotions
+                .copy_from_slice(self.scratch.demotions.as_slice());
             self.obs.on_hit(0, block.raw());
             self.record_stack_effects(block, res.placed);
             self.note_temp_lru(block, res.placed);
@@ -216,7 +216,8 @@ impl MultiLevelPolicy for UlcSingle {
         self.record_stack_effects(block, res.placed);
         self.note_temp_lru(block, res.placed);
         out.hit_level = res.found.level();
-        out.demotions.copy_from_slice(self.scratch.demotions.as_slice());
+        out.demotions
+            .copy_from_slice(self.scratch.demotions.as_slice());
     }
 
     #[inline]
@@ -302,7 +303,11 @@ mod tests {
         let h = stats.hit_rates();
         assert!(h[0] > h[1], "h = {h:?}");
         assert!(h[1] > h[2], "h = {h:?}");
-        assert!(stats.total_hit_rate() > 0.7, "total = {}", stats.total_hit_rate());
+        assert!(
+            stats.total_hit_rate() > 0.7,
+            "total = {}",
+            stats.total_hit_rate()
+        );
     }
 
     #[test]
@@ -340,7 +345,10 @@ mod tests {
         config.count_temp_lru_hits = true;
         let mut ulc = UlcSingle::new(config);
         let _ = simulate(&mut ulc, &t, 0);
-        let temp_lru = ulc.temp_lru.as_ref().expect("the ablation builds a tempLRU");
+        let temp_lru = ulc
+            .temp_lru
+            .as_ref()
+            .expect("the ablation builds a tempLRU");
         assert!(!temp_lru.is_empty() && temp_lru.len() <= 8);
     }
 

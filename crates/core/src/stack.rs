@@ -385,9 +385,7 @@ impl UniLruStack {
                 Some(y) => e.stamp < self.stamp_of(y),
                 None => false,
             };
-            let over_limit = self
-                .stack_limit
-                .is_some_and(|l| self.list.len() > l);
+            let over_limit = self.stack_limit.is_some_and(|l| self.list.len() > l);
             if !(below_last_yardstick || over_limit) {
                 break;
             }
@@ -666,9 +664,9 @@ mod tests {
         let out = s.access(b(2)); // re-access at tiny recency → L1
         assert_eq!(out.placed, Placement::Level(0));
         assert_eq!(out.found, Placement::Uncached); // was only history
-        // b0 (old Y1) is demoted toward L2, where it would at once be the
-        // victim again (it is older than b1): it falls through to L_out
-        // with no transfer, and b1 keeps its L2 slot.
+                                                    // b0 (old Y1) is demoted toward L2, where it would at once be the
+                                                    // victim again (it is older than b1): it falls through to L_out
+                                                    // with no transfer, and b1 keeps its L2 slot.
         assert_eq!(out.demotions, vec![0]);
         assert_eq!(out.evicted, vec![b(0)]);
         assert_eq!(s.cached_level(b(1)), Some(1));
@@ -825,8 +823,8 @@ mod tests {
         // Y1 = b0 (deepest L1). Promoting history block b4 would demote Y1.
         assert_eq!(s.yardstick(0), Some(b(0)));
         s.access(b(4)); // history at top
-        // b4 → L1; Y1 = b0 is demoted toward L2, where it is older than
-        // both residents and falls through to L_out (no transfer).
+                        // b4 → L1; Y1 = b0 is demoted toward L2, where it is older than
+                        // both residents and falls through to L_out (no transfer).
         let out = s.access(b(4));
         assert_eq!(out.demotions, vec![0]);
         assert_eq!(out.evicted, vec![b(0)]);

@@ -55,7 +55,11 @@ fn view(stats: &SimStats) -> check::StatsView<'_> {
 /// Runs `policy` over `trace` with recording on from the first reference
 /// and reconciles the ledger, returning the policy and stats for any
 /// extra per-protocol checks.
-fn reconciled<P: MultiLevelPolicy + Observe>(name: &str, mut policy: P, trace: &Trace) -> (P, SimStats) {
+fn reconciled<P: MultiLevelPolicy + Observe>(
+    name: &str,
+    mut policy: P,
+    trace: &Trace,
+) -> (P, SimStats) {
     let levels = policy.num_levels();
     policy.obs_mut().enable(levels, BIG_RING);
     attach_timeline(&mut policy, trace);
@@ -70,7 +74,10 @@ fn reconciled<P: MultiLevelPolicy + Observe>(name: &str, mut policy: P, trace: &
             + f.crashes,
     );
     policy.obs_mut().finish();
-    let rec = policy.obs().recorder().expect("obs feature attaches a recorder");
+    let rec = policy
+        .obs()
+        .recorder()
+        .expect("obs feature attaches a recorder");
     if let Err(e) = check::reconcile(rec, &view(&stats)) {
         panic!("{name}: conservation failed: {e}");
     }
@@ -78,7 +85,10 @@ fn reconciled<P: MultiLevelPolicy + Observe>(name: &str, mut policy: P, trace: &
         panic!("{name}: per-window conservation failed: {e}");
     }
     let timeline = rec.timeline().expect("timeline attached");
-    assert!(!timeline.truncated(), "{name}: timeline sized for the whole run");
+    assert!(
+        !timeline.truncated(),
+        "{name}: timeline sized for the whole run"
+    );
     (policy, stats)
 }
 
@@ -97,7 +107,11 @@ fn ulc_single_reconciles_and_replays_single_residency() {
     assert_eq!(rec.log().dropped(), 0, "stream must be complete for replay");
     let replay = check::replay_residency(rec.log(), policy.num_levels())
         .unwrap_or_else(|e| panic!("ULC/loop-100k: residency replay failed: {e}"));
-    assert_eq!(replay, check::ResidencyReplay::Verified, "complete stream must verify");
+    assert_eq!(
+        replay,
+        check::ResidencyReplay::Verified,
+        "complete stream must verify"
+    );
 }
 
 #[test]
@@ -248,8 +262,8 @@ fn faulty_plane_run_reconciles_and_reports_transport_faults() {
     // The protocol-observed Fault events are kept apart from the
     // transport tally: zero-fault runs record PlaneFaults == 0.
     let zero = FaultScenario::zero(11);
-    let mut clean = UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048))
-        .with_plane(FaultyPlane::new(zero));
+    let mut clean =
+        UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048)).with_plane(FaultyPlane::new(zero));
     let levels = clean.num_levels();
     clean.obs_mut().enable(levels, BIG_RING);
     let _ = simulate(&mut clean, &trace, 0);

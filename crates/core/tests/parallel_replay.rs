@@ -69,13 +69,16 @@ fn sharded_matches_serial_on_zero_fault_faulty_plane() {
     // parallel path over the plane's due-time delivery machinery.
     let (name, trace, clients) = &multi_client_workloads()[0];
     let config = config_for(*clients);
-    let mut serial = UlcMulti::new(config.clone())
-        .with_plane(FaultyPlane::new(FaultScenario::zero(41)));
-    assert!(!serial.plane().lossy(), "zero-fault plane must not be lossy");
+    let mut serial =
+        UlcMulti::new(config.clone()).with_plane(FaultyPlane::new(FaultScenario::zero(41)));
+    assert!(
+        !serial.plane().lossy(),
+        "zero-fault plane must not be lossy"
+    );
     let expect = simulate(&mut serial, trace, trace.warmup_len());
     for shards in [2, 8] {
-        let mut policy = UlcMulti::new(config.clone())
-            .with_plane(FaultyPlane::new(FaultScenario::zero(41)));
+        let mut policy =
+            UlcMulti::new(config.clone()).with_plane(FaultyPlane::new(FaultScenario::zero(41)));
         let got = simulate_sharded(&mut policy, trace, trace.warmup_len(), shards);
         assert_stats_bit_identical(&format!("{name}/faulty-zero@{shards}"), &expect, &got);
     }
@@ -86,8 +89,7 @@ fn crashy_plane_takes_the_serial_fallback_and_stays_exact() {
     let (name, trace, clients) = &multi_client_workloads()[0];
     let config = config_for(*clients);
     let scenario = crashy_mild_scenario();
-    let mut serial =
-        UlcMulti::new(config.clone()).with_plane(FaultyPlane::new(scenario.clone()));
+    let mut serial = UlcMulti::new(config.clone()).with_plane(FaultyPlane::new(scenario.clone()));
     assert!(
         serial.plane().lossy(),
         "the crashy scenario must trip the fallback predicate"

@@ -44,10 +44,7 @@ where
         "{name}: demotions diverged"
     );
     assert_eq!(sr.references, sf.references, "{name}: references diverged");
-    assert_eq!(
-        sr.faults, sf.faults,
-        "{name}: fault summaries diverged"
-    );
+    assert_eq!(sr.faults, sf.faults, "{name}: fault summaries diverged");
     // No *transport* fault may be reported on the zero-fault plane
     // (bounded-buffer overflow drops are model behaviour, identical on
     // both planes, and already covered by the equality above).
@@ -86,7 +83,12 @@ fn uni_lru_variants_are_bit_identical_on_every_workload() {
             let reliable = UniLru::multi_client(vec![caps[0]], caps[1..].to_vec(), variant);
             let faulty = UniLru::multi_client(vec![caps[0]], caps[1..].to_vec(), variant)
                 .with_plane(FaultyPlane::new(FaultScenario::zero(11)));
-            assert_differential(&format!("uniLRU/{variant:?}/{name}"), &trace, reliable, faulty);
+            assert_differential(
+                &format!("uniLRU/{variant:?}/{name}"),
+                &trace,
+                reliable,
+                faulty,
+            );
         }
     }
 }
@@ -137,8 +139,7 @@ fn ulc_multi_is_bit_identical_on_every_workload() {
     for (name, trace, clients) in multi_client_workloads() {
         let config = UlcMultiConfig::uniform(clients, 256, 2048);
         let reliable = UlcMulti::new(config.clone());
-        let faulty =
-            UlcMulti::new(config).with_plane(FaultyPlane::new(FaultScenario::zero(55)));
+        let faulty = UlcMulti::new(config).with_plane(FaultyPlane::new(FaultScenario::zero(55)));
         assert_differential(&format!("ULC/{name}"), &trace, reliable, faulty);
     }
 }

@@ -62,9 +62,7 @@ mod tests {
             synthetic::sprite(30_000),
         ] {
             let w = trace.warmup_len();
-            assert!(
-                opt_hit_rate(&trace, 900, w) >= aggregate_lru_hit_rate(&trace, 900, w) - 1e-9
-            );
+            assert!(opt_hit_rate(&trace, 900, w) >= aggregate_lru_hit_rate(&trace, 900, w) - 1e-9);
         }
     }
 

@@ -11,7 +11,7 @@
 
 use crate::stats::FaultSummary;
 use crate::{AccessOutcome, MultiLevelPolicy};
-use ulc_obs::{Observe, ObsHandle};
+use ulc_obs::{ObsHandle, Observe};
 use ulc_trace::{BlockId, ClientId};
 
 /// Wraps a protocol, absorbing demotions into per-boundary buffers.
@@ -169,8 +169,7 @@ mod tests {
         let t = synthetic::zipf_small(20_000);
         let mut plain = UniLru::single_client(vec![300, 300]);
         let s1 = simulate(&mut plain, &t, t.warmup_len());
-        let mut buffered =
-            DemotionBuffer::new(UniLru::single_client(vec![300, 300]), 8, 0.5);
+        let mut buffered = DemotionBuffer::new(UniLru::single_client(vec![300, 300]), 8, 0.5);
         let s2 = simulate(&mut buffered, &t, t.warmup_len());
         assert_eq!(s1.hits_by_level, s2.hits_by_level);
         assert_eq!(s1.misses, s2.misses);
@@ -199,11 +198,8 @@ mod tests {
     #[test]
     fn no_demotions_means_fraction_one() {
         let t = synthetic::zipf_small(5_000);
-        let mut buffered = DemotionBuffer::new(
-            crate::IndLru::single_client(vec![100, 100]),
-            4,
-            0.1,
-        );
+        let mut buffered =
+            DemotionBuffer::new(crate::IndLru::single_client(vec![100, 100]), 4, 0.1);
         let _ = simulate(&mut buffered, &t, 0);
         assert_eq!(buffered.hidden_fraction(), 1.0);
     }

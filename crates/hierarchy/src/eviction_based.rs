@@ -26,7 +26,7 @@ use crate::stats::FaultSummary;
 use crate::{AccessOutcome, MultiLevelPolicy};
 use std::collections::VecDeque;
 use ulc_cache::LruCache;
-use ulc_obs::{Observe, ObsHandle};
+use ulc_obs::{ObsHandle, Observe};
 use ulc_trace::{BlockId, BlockMap, ClientId};
 
 /// Two-level eviction-based placement: LRU client over an LRU server,
@@ -142,7 +142,8 @@ impl<P: MessagePlane> EvictionBased<P> {
             if let Message::Reload { block } = msg {
                 self.reloads += 1;
                 self.pending.insert(block, self.now + self.reload_latency);
-                self.order.push_back((self.now + self.reload_latency, block));
+                self.order
+                    .push_back((self.now + self.reload_latency, block));
             }
         }
         self.batch = batch;
@@ -339,8 +340,7 @@ mod tests {
     fn server_crash_forgets_pending_reloads() {
         let t = synthetic::zipf_small(20_000);
         let scenario = FaultScenario::zero(2).with_crash(10_000, 1);
-        let mut p = EvictionBased::new(vec![300], 600, 50)
-            .with_plane(FaultyPlane::new(scenario));
+        let mut p = EvictionBased::new(vec![300], 600, 50).with_plane(FaultyPlane::new(scenario));
         let stats = simulate(&mut p, &t, 0);
         assert_eq!(stats.faults.crashes, 1);
         assert!(stats.total_hit_rate() > 0.0);

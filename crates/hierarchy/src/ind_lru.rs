@@ -21,7 +21,7 @@ use crate::plane::{MessagePlane, ReliablePlane, RpcFate};
 use crate::stats::FaultSummary;
 use crate::{AccessOutcome, MultiLevelPolicy};
 use ulc_cache::LruCache;
-use ulc_obs::{Observe, ObsHandle};
+use ulc_obs::{ObsHandle, Observe};
 use ulc_trace::{BlockId, ClientId};
 
 /// Independent per-level LRU over a hierarchy with private client caches
@@ -285,8 +285,7 @@ mod tests {
     fn crash_cold_restarts_the_server_level() {
         let t = synthetic::zipf_small(20_000);
         let scenario = FaultScenario::zero(6).with_crash(10_000, 1);
-        let mut p = IndLru::single_client(vec![300, 600])
-            .with_plane(FaultyPlane::new(scenario));
+        let mut p = IndLru::single_client(vec![300, 600]).with_plane(FaultyPlane::new(scenario));
         let stats = simulate(&mut p, &t, 0);
         assert_eq!(stats.faults.crashes, 1);
         assert!(stats.total_hit_rate() > 0.0);

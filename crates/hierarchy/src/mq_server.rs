@@ -8,7 +8,7 @@
 
 use crate::{AccessOutcome, MultiLevelPolicy};
 use ulc_cache::{LruCache, MqConfig, MultiQueue};
-use ulc_obs::{Observe, ObsHandle};
+use ulc_obs::{ObsHandle, Observe};
 use ulc_trace::{BlockId, ClientId};
 
 /// Independent LRU clients over one shared MQ server (two levels).

@@ -757,7 +757,10 @@ impl MessagePlane for FaultyPlane {
         // map and reallocated every surviving entry on every call. The
         // popped messages land in the caller's recycled batch.
         let high = self.delivered_high.entry((link, dir)).or_insert(0);
-        while q.first_key_value().is_some_and(|(&(due, _), _)| due <= self.now) {
+        while q
+            .first_key_value()
+            .is_some_and(|(&(due, _), _)| due <= self.now)
+        {
             let ((_, seq), msg) = q.pop_first().expect("peeked entry is present");
             if seq < *high {
                 self.acct.reordered += 1;
@@ -1042,10 +1045,13 @@ mod tests {
 
     #[test]
     fn link_overrides_take_precedence() {
-        let s = FaultScenario::zero(8).with_link(3, LinkFaults {
-            drop: 1.0,
-            ..LinkFaults::NONE
-        });
+        let s = FaultScenario::zero(8).with_link(
+            3,
+            LinkFaults {
+                drop: 1.0,
+                ..LinkFaults::NONE
+            },
+        );
         let mut f = FaultyPlane::new(s);
         f.tick();
         f.send(0, Direction::Down, demote(1));

@@ -251,10 +251,7 @@ mod tests {
     fn empty_stats_are_safe() {
         let s = SimStats::new(2);
         assert_eq!(s.miss_rate(), 0.0);
-        assert_eq!(
-            s.average_access_time(&CostModel::paper_two_level()),
-            0.0
-        );
+        assert_eq!(s.average_access_time(&CostModel::paper_two_level()), 0.0);
     }
 
     #[test]

@@ -36,7 +36,7 @@ use crate::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlan
 use crate::stats::FaultSummary;
 use crate::{AccessOutcome, MultiLevelPolicy};
 use ulc_cache::{LruCache, NodeHandle};
-use ulc_obs::{Observe, ObsHandle};
+use ulc_obs::{ObsHandle, Observe};
 use ulc_trace::{BlockId, BlockMap, ClientId};
 
 /// One cache level: an LRU whose nodes are found through a block table
@@ -664,7 +664,7 @@ mod tests {
         let out = p.access(ClientId::SINGLE, a); // server hit, promoted
         assert_eq!(out.hit_level, Some(1));
         assert_eq!(out.demotions, vec![1]); // b demoted to make room
-        // a must now be gone from the server (exclusive).
+                                            // a must now be gone from the server (exclusive).
         let out = p.access(ClientId::SINGLE, a);
         assert_eq!(out.hit_level, Some(0));
     }
@@ -680,7 +680,11 @@ mod tests {
         let mut lru = UniLru::multi_client(vec![500], vec![500], UniLruVariant::LruInsert);
         let sm = simulate(&mut mru, &t, t.warmup_len());
         let sl = simulate(&mut lru, &t, t.warmup_len());
-        assert!(sm.demotion_rates()[0] > 0.9, "mru = {:?}", sm.demotion_rates());
+        assert!(
+            sm.demotion_rates()[0] > 0.9,
+            "mru = {:?}",
+            sm.demotion_rates()
+        );
         assert!(
             sl.demotion_rates()[0] < 0.5 * sm.demotion_rates()[0],
             "lru-insert rate = {:.3}",
@@ -757,8 +761,7 @@ mod tests {
         let scenario = FaultScenario::zero(3)
             .with_duplicate(0.2)
             .with_delay(0.3, 6);
-        let mut p =
-            UniLru::single_client(vec![300, 300]).with_plane(FaultyPlane::new(scenario));
+        let mut p = UniLru::single_client(vec![300, 300]).with_plane(FaultyPlane::new(scenario));
         let stats = simulate(&mut p, &t, t.warmup_len());
         assert!(stats.faults.messages_duplicated > 0);
         p.settle();
@@ -770,8 +773,7 @@ mod tests {
     fn server_crash_wipes_level_and_recovers() {
         let t = synthetic::zipf_small(20_000);
         let scenario = FaultScenario::zero(8).with_crash(10_000, 1);
-        let mut p =
-            UniLru::single_client(vec![300, 300]).with_plane(FaultyPlane::new(scenario));
+        let mut p = UniLru::single_client(vec![300, 300]).with_plane(FaultyPlane::new(scenario));
         let stats = simulate(&mut p, &t, 0);
         assert_eq!(stats.faults.crashes, 1);
         p.settle();

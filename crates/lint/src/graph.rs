@@ -189,8 +189,8 @@ impl CallGraph {
                 if item.in_test {
                     continue;
                 }
-                let is_root = ROOT_FN_NAMES.contains(&item.name.as_str())
-                    || hot_gov.contains(&item.line);
+                let is_root =
+                    ROOT_FN_NAMES.contains(&item.name.as_str()) || hot_gov.contains(&item.line);
                 let is_cold = cold_gov.contains(&item.line);
                 g.nodes.push(Node {
                     file: fi,
@@ -317,7 +317,9 @@ impl CallGraph {
         let mut rev = Vec::new();
         let mut cur = Some(node);
         while let Some(id) = cur {
-            let Some(p) = reach.provenance.get(&id) else { break };
+            let Some(p) = reach.provenance.get(&id) else {
+                break;
+            };
             let n = &self.nodes[id];
             let fi = p.parent.map_or(n.file, |par| self.nodes[par].file);
             rev.push((n.label(), files[fi].path.clone(), p.call_line));
@@ -564,7 +566,9 @@ fn local_types(files: &[FileUnit], node: &Node, tables: &Tables) -> BTreeMap<Str
                 }
                 if tokens.get(j).is_some_and(|t| t.is_ident("self"))
                     && tokens.get(j + 1).is_some_and(|t| t.is_punct('.'))
-                    && tokens.get(j + 2).is_some_and(|t| t.kind == TokenKind::Ident)
+                    && tokens
+                        .get(j + 2)
+                        .is_some_and(|t| t.kind == TokenKind::Ident)
                     && tokens.get(j + 3).is_some_and(|t| t.is_punct('.'))
                     && tokens
                         .get(j + 4)
@@ -796,7 +800,10 @@ mod tests {
                 "crates/x/src/a.rs",
                 "fn take_crashes_into(out: &mut Vec<usize>) { out.push(1); }\n",
             ),
-            unit("crates/y/src/b.rs", "fn push(n: usize) { helper(n); }\nfn helper(_n: usize) {}\n"),
+            unit(
+                "crates/y/src/b.rs",
+                "fn push(n: usize) { helper(n); }\nfn helper(_n: usize) {}\n",
+            ),
         ];
         let g = CallGraph::build(&files);
         let r = g.reachable();

@@ -367,8 +367,8 @@ fn lex_number(cur: &mut Cursor) {
                 cur.bump();
             }
             Some(c) if c.is_ascii_alphanumeric() || c == b'_' => {
-                let exponent_sign = (c == b'e' || c == b'E')
-                    && matches!(cur.peek_at(1), Some(b'+') | Some(b'-'));
+                let exponent_sign =
+                    (c == b'e' || c == b'E') && matches!(cur.peek_at(1), Some(b'+') | Some(b'-'));
                 cur.bump();
                 if exponent_sign {
                     cur.bump();
@@ -398,9 +398,10 @@ mod tests {
         let kinds: Vec<TokenKind> = f.tokens.iter().map(|t| t.kind).collect();
         assert!(kinds.contains(&TokenKind::Ident));
         assert!(kinds.contains(&TokenKind::Punct));
-        assert_eq!(idents("fn main() { let x = a.b; }"), [
-            "fn", "main", "let", "x", "a", "b"
-        ]);
+        assert_eq!(
+            idents("fn main() { let x = a.b; }"),
+            ["fn", "main", "let", "x", "a", "b"]
+        );
     }
 
     #[test]
@@ -432,7 +433,11 @@ mod tests {
             .iter()
             .filter(|t| t.kind == TokenKind::Lifetime)
             .count();
-        let chars = f.tokens.iter().filter(|t| t.kind == TokenKind::Char).count();
+        let chars = f
+            .tokens
+            .iter()
+            .filter(|t| t.kind == TokenKind::Char)
+            .count();
         assert_eq!(lifetimes, 2);
         assert_eq!(chars, 1);
     }
@@ -441,7 +446,13 @@ mod tests {
     fn escaped_quote_char_literal() {
         let f = lex(r"let c = '\''; let d = 2;");
         assert!(f.tokens.iter().any(|t| t.is_ident("d")));
-        assert_eq!(f.tokens.iter().filter(|t| t.kind == TokenKind::Char).count(), 1);
+        assert_eq!(
+            f.tokens
+                .iter()
+                .filter(|t| t.kind == TokenKind::Char)
+                .count(),
+            1
+        );
     }
 
     #[test]
@@ -504,7 +515,16 @@ mod tests {
     #[test]
     fn byte_literals() {
         let f = lex(r#"let a = b"bytes"; let c = b'x'; let d = br"raw";"#);
-        assert_eq!(f.tokens.iter().filter(|t| t.kind == TokenKind::Str).count(), 2);
-        assert_eq!(f.tokens.iter().filter(|t| t.kind == TokenKind::Char).count(), 1);
+        assert_eq!(
+            f.tokens.iter().filter(|t| t.kind == TokenKind::Str).count(),
+            2
+        );
+        assert_eq!(
+            f.tokens
+                .iter()
+                .filter(|t| t.kind == TokenKind::Char)
+                .count(),
+            1
+        );
     }
 }

@@ -123,10 +123,7 @@ fn collect_rs_files(root: &Path) -> io::Result<Vec<PathBuf>> {
         entries.sort();
         for p in entries {
             if p.is_dir() {
-                let name = p
-                    .file_name()
-                    .and_then(|n| n.to_str())
-                    .unwrap_or_default();
+                let name = p.file_name().and_then(|n| n.to_str()).unwrap_or_default();
                 if !skip_dir(name) {
                     stack.push(p);
                 }

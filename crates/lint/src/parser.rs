@@ -219,7 +219,9 @@ pub fn read_path(tokens: &[Token], i: usize) -> Option<(String, usize)> {
         }
         if tokens.get(k).is_some_and(|t| t.is_punct(':'))
             && tokens.get(k + 1).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(k + 2).is_some_and(|t| t.kind == TokenKind::Ident)
+            && tokens
+                .get(k + 2)
+                .is_some_and(|t| t.kind == TokenKind::Ident)
         {
             last = tokens[k + 2].text.clone();
             k += 3;
@@ -254,7 +256,9 @@ pub fn elem_head(tokens: &[Token], i: usize) -> Option<String> {
         }
         if tokens.get(k).is_some_and(|t| t.is_punct(':'))
             && tokens.get(k + 1).is_some_and(|t| t.is_punct(':'))
-            && tokens.get(k + 2).is_some_and(|t| t.kind == TokenKind::Ident)
+            && tokens
+                .get(k + 2)
+                .is_some_and(|t| t.kind == TokenKind::Ident)
         {
             elem = None;
             k += 3;
@@ -441,7 +445,11 @@ fn parse_range(
 /// Parses an `impl` header starting at the `impl` keyword: returns the
 /// self type's last path segment, the implemented trait's last segment
 /// (for `impl Trait for Type`), and the index of the body's `{`.
-fn parse_impl_header(tokens: &[Token], i: usize, hi: usize) -> Option<(String, Option<String>, usize)> {
+fn parse_impl_header(
+    tokens: &[Token],
+    i: usize,
+    hi: usize,
+) -> Option<(String, Option<String>, usize)> {
     let mut k = i + 1;
     if tokens.get(k).is_some_and(|t| t.is_punct('<')) {
         k = skip_generics(tokens, k);
@@ -610,7 +618,11 @@ mod tests {
     fn enum_variants_with_payloads() {
         let src = "enum Message { Demote { block: B, mru: bool }, CacheRequest(B), EvictNotice,\n Reload = 3 }\n";
         let p = parsed(src);
-        let names: Vec<&str> = p.enums[0].variants.iter().map(|(v, _)| v.as_str()).collect();
+        let names: Vec<&str> = p.enums[0]
+            .variants
+            .iter()
+            .map(|(v, _)| v.as_str())
+            .collect();
         assert_eq!(names, ["Demote", "CacheRequest", "EvictNotice", "Reload"]);
         assert_eq!(p.enums[0].variants[3].1, 2, "Reload sits on line 2");
     }

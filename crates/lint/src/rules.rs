@@ -736,7 +736,10 @@ fn plane_exhaustive_rule(units: &[FileUnit], diags: &mut Vec<Diagnostic>) {
                     && tokens.get(k + 2).is_some_and(|n| n.is_punct('>'))
                 {
                     let binding = t.kind == TokenKind::Ident
-                        && t.text.chars().next().is_some_and(|c| c.is_ascii_lowercase())
+                        && t.text
+                            .chars()
+                            .next()
+                            .is_some_and(|c| c.is_ascii_lowercase())
                         && (tokens[k - 1].is_punct('{')
                             || tokens[k - 1].is_punct('}')
                             || tokens[k - 1].is_punct(','));
@@ -1055,7 +1058,8 @@ mod tests {
             .collect();
         assert_eq!(d.len(), 1, "{d:?}");
         assert!(
-            d[0].message.contains("access_into (x.rs:1) → helper (x.rs:1)"),
+            d[0].message
+                .contains("access_into (x.rs:1) → helper (x.rs:1)"),
             "{}",
             d[0].message
         );
@@ -1136,7 +1140,8 @@ mod tests {
         let clean = "fn access_into(b: u32) { rebuild(b); }\n// lint:cold-path crash recovery allocates by design\nfn rebuild(_b: u32) { let v = vec![0u32; 4]; let _ = v; }\n";
         let d = lint(clean);
         assert!(d.is_empty(), "{d:?}");
-        let reasonless = "fn access_into(b: u32) { rebuild(b); }\n// lint:cold-path\nfn rebuild(_b: u32) {}\n";
+        let reasonless =
+            "fn access_into(b: u32) { rebuild(b); }\n// lint:cold-path\nfn rebuild(_b: u32) {}\n";
         let d = lint(reasonless);
         assert_eq!(rules_of(&d), [RULE_ALLOW_SYNTAX]);
     }
@@ -1150,7 +1155,8 @@ mod tests {
     #[test]
     fn alloc_off_the_access_tree_is_clean() {
         // Constructors and unreachable helpers may allocate freely.
-        let src = "fn new() -> Vec<u32> { Vec::new() }\nfn access(b: u32) -> Vec<u32> { vec![b] }\n";
+        let src =
+            "fn new() -> Vec<u32> { Vec::new() }\nfn access(b: u32) -> Vec<u32> { vec![b] }\n";
         let d: Vec<_> = lint(src)
             .into_iter()
             .filter(|d| d.rule == RULE_HOT_PATH_ALLOC)
@@ -1170,7 +1176,8 @@ mod tests {
 
     #[test]
     fn hot_alloc_trait_signature_without_body_is_clean() {
-        let src = "pub trait P {\n    /// Doc.\n    fn access_into(&mut self, out: &mut Vec<u32>);\n}\n";
+        let src =
+            "pub trait P {\n    /// Doc.\n    fn access_into(&mut self, out: &mut Vec<u32>);\n}\n";
         let d: Vec<_> = check_source("crates/hierarchy/src/plane.rs", src, FileKind::Library)
             .into_iter()
             .filter(|d| d.rule == RULE_HOT_PATH_ALLOC)

@@ -10,8 +10,8 @@ fn lint_fixture(name: &str) -> Vec<Diagnostic> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("tests/fixtures")
         .join(name);
-    let src = std::fs::read_to_string(&path)
-        .unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"));
+    let src =
+        std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("fixture {name} unreadable: {e}"));
     lint_source(name, &src, FileKind::Library)
 }
 
@@ -98,15 +98,11 @@ fn allow_syntax_positive_cases() {
 /// with file:line diagnostics.
 #[test]
 fn fixture_suite_covers_all_rule_classes() {
-    let mut rules: Vec<String> = [
-        "determinism_pos.rs",
-        "panic_pos.rs",
-        "allow_syntax_pos.rs",
-    ]
-    .iter()
-    .flat_map(|f| lint_fixture(f))
-    .map(|d| d.rule)
-    .collect();
+    let mut rules: Vec<String> = ["determinism_pos.rs", "panic_pos.rs", "allow_syntax_pos.rs"]
+        .iter()
+        .flat_map(|f| lint_fixture(f))
+        .map(|d| d.rule)
+        .collect();
     rules.sort();
     rules.dedup();
     assert_eq!(rules, ["allow-syntax", "determinism", "panic"]);

@@ -53,20 +53,17 @@ fn root_reaches_allocating_helper_two_modules_away() {
     // Every hop appears with the file and line of its call site: the
     // root at its declaration, each callee at the caller's call line.
     assert!(
-        d.message
-            .contains("access_into (crates/a/src/engine.rs:2)"),
+        d.message.contains("access_into (crates/a/src/engine.rs:2)"),
         "{}",
         d.message
     );
     assert!(
-        d.message
-            .contains("relay_step (crates/a/src/engine.rs:3)"),
+        d.message.contains("relay_step (crates/a/src/engine.rs:3)"),
         "{}",
         d.message
     );
     assert!(
-        d.message
-            .contains("grow_table (crates/b/src/relay.rs:3)"),
+        d.message.contains("grow_table (crates/b/src/relay.rs:3)"),
         "{}",
         d.message
     );
@@ -96,7 +93,10 @@ fn allow_on_the_leaf_suppresses_and_stays_live() {
         ),
     ];
     let diags = lint_files(&files);
-    assert!(by_rule(&diags, RULE_HOT_PATH_ALLOC).is_empty(), "{diags:#?}");
+    assert!(
+        by_rule(&diags, RULE_HOT_PATH_ALLOC).is_empty(),
+        "{diags:#?}"
+    );
     assert!(by_rule(&diags, RULE_DEAD_ALLOW).is_empty(), "{diags:#?}");
 }
 
@@ -149,7 +149,10 @@ fn cold_path_marker_prunes_the_subtree() {
         ),
     ];
     let diags = lint_files(&files);
-    assert!(by_rule(&diags, RULE_HOT_PATH_ALLOC).is_empty(), "{diags:#?}");
+    assert!(
+        by_rule(&diags, RULE_HOT_PATH_ALLOC).is_empty(),
+        "{diags:#?}"
+    );
 }
 
 /// The sharded replay executor's per-epoch loops (`advance_client_run`
@@ -248,12 +251,20 @@ fn timeline_recording_fns_are_roots_by_name() {
         .iter()
         .find(|d| d.file == "crates/a/src/recorder.rs")
         .expect("direct to_string under record_rpc flagged");
-    assert!(direct_rpc.message.contains("record_rpc"), "{}", direct_rpc.message);
+    assert!(
+        direct_rpc.message.contains("record_rpc"),
+        "{}",
+        direct_rpc.message
+    );
     let direct_window = alloc
         .iter()
         .find(|d| d.file == "crates/a/src/timeline.rs")
         .expect("direct vec! under sample_window flagged");
-    assert!(direct_window.message.contains("sample_window"), "{}", direct_window.message);
+    assert!(
+        direct_window.message.contains("sample_window"),
+        "{}",
+        direct_window.message
+    );
     let via_helper = alloc
         .iter()
         .find(|d| d.file == "crates/b/src/scratch.rs")

@@ -13,7 +13,9 @@
 
 use crate::{MeasureKind, SegmentReport, INFINITE};
 use std::collections::HashMap;
-use ulc_cache::{lru_stack_distances, next_use_times, Fenwick, KeyedList, LazyMinTree, RecencyList};
+use ulc_cache::{
+    lru_stack_distances, next_use_times, Fenwick, KeyedList, LazyMinTree, RecencyList,
+};
 use ulc_trace::Trace;
 
 /// Fixed rank boundaries for `segments` segments over `d` blocks.
@@ -182,8 +184,7 @@ fn analyze_recency(blocks: &[u32], bounds: &Boundaries) -> SegmentReport {
 /// `remove` and rank queries replace the O(D) scans and splices.
 fn analyze_keyed(blocks: &[u32], values: &[u64], bounds: &Boundaries) -> SegmentReport {
     let mut report = SegmentReport::new(bounds.segments, bounds.d);
-    let mut universe: Vec<(u64, u32)> =
-        values.iter().zip(blocks).map(|(&v, &b)| (v, b)).collect();
+    let mut universe: Vec<(u64, u32)> = values.iter().zip(blocks).map(|(&v, &b)| (v, b)).collect();
     universe.sort_unstable();
     universe.dedup();
     let mut list = KeyedList::new(universe.len());
@@ -319,8 +320,16 @@ impl LldRIndex<'_> {
             }
         }
         let s = lo;
-        let last_static = if s > 0 { Some(self.static_key_at(s - 1)) } else { None };
-        let last_r = if k > s { Some(self.r_key_at(k - s - 1)) } else { None };
+        let last_static = if s > 0 {
+            Some(self.static_key_at(s - 1))
+        } else {
+            None
+        };
+        let last_r = if k > s {
+            Some(self.r_key_at(k - s - 1))
+        } else {
+            None
+        };
         last_static.max(last_r).expect("k >= 1 takes something")
     }
 
@@ -664,8 +673,8 @@ mod tests {
     fn tiny_trace() -> Trace {
         // Deterministic mix over 12 blocks (>= 10 segments needed).
         let ids: Vec<u64> = vec![
-            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 0, 1, 5, 9, 11, 3, 3, 7, 0, 4, 8, 2,
-            6, 10, 1, 0, 5,
+            0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 0, 1, 2, 0, 1, 5, 9, 11, 3, 3, 7, 0, 4, 8, 2, 6,
+            10, 1, 0, 5,
         ];
         Trace::from_blocks(ids.into_iter().map(ulc_trace::BlockId::new))
     }

@@ -34,8 +34,8 @@
 mod analysis;
 mod histogram;
 mod measure;
-mod samples;
 mod report;
+mod samples;
 mod summary;
 
 pub use analysis::{analyze, analyze_all, analyze_all_parallel, recencies, reference};

@@ -74,8 +74,7 @@ impl Table1 {
                 let cold_frac =
                     report.cold_references as f64 / report.total_references.max(1) as f64;
                 let head_segments = (segments / 3).max(1);
-                let uniform_floor =
-                    (head_segments as f64 / segments as f64) * (1.0 - cold_frac);
+                let uniform_floor = (head_segments as f64 / segments as f64) * (1.0 - cold_frac);
                 let rel = if uniform_floor > 0.0 {
                     report.distinction_score() / uniform_floor
                 } else {

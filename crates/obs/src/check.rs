@@ -89,7 +89,11 @@ pub fn reconcile(rec: &RingRecorder, stats: &StatsView<'_>) -> Result<(), String
         demote_sum += row.demotions;
         buffered_sum += row.buffered;
     }
-    expect_eq("per-boundary demotion sum", demote_sum, m.counter(CounterId::Demotions))?;
+    expect_eq(
+        "per-boundary demotion sum",
+        demote_sum,
+        m.counter(CounterId::Demotions),
+    )?;
     expect_eq(
         "per-boundary buffered sum",
         buffered_sum,
@@ -153,7 +157,9 @@ pub enum ResidencyReplay {
 /// Returns the first contradiction as a human-readable message.
 pub fn replay_residency(log: &RingLog, levels: usize) -> Result<ResidencyReplay, String> {
     if log.dropped() > 0 {
-        return Ok(ResidencyReplay::SkippedTruncated { dropped: log.dropped() });
+        return Ok(ResidencyReplay::SkippedTruncated {
+            dropped: log.dropped(),
+        });
     }
     let mut home: BTreeMap<u64, usize> = BTreeMap::new();
     for (i, ev) in log.iter().enumerate() {
@@ -172,9 +178,7 @@ pub fn replay_residency(log: &RingLog, levels: usize) -> Result<ResidencyReplay,
             },
             EventKind::Miss => {
                 if let Some(&at) = home.get(&ev.block) {
-                    return Err(format!(
-                        "event {i} ({ev}): miss but block resides at L{at}"
-                    ));
+                    return Err(format!("event {i} ({ev}): miss but block resides at L{at}"));
                 }
             }
             EventKind::Retrieve => {
@@ -222,7 +226,11 @@ pub fn windows_reconcile(rec: &RingRecorder) -> Result<(), String> {
     let sum = timeline.summed();
     let m = rec.metrics();
     for id in CounterId::ALL {
-        expect_eq(&format!("window sum of counter {}", id.name()), sum.counter(id), m.counter(id))?;
+        expect_eq(
+            &format!("window sum of counter {}", id.name()),
+            sum.counter(id),
+            m.counter(id),
+        )?;
     }
     for l in 0..m.levels() {
         let (got, want) = (sum.level(l), m.level(l));
@@ -254,7 +262,12 @@ mod tests {
     use crate::recorder::Recorder;
 
     fn push(log: &mut RingLog, tick: u64, kind: EventKind, level: u16, block: u64) {
-        log.push(Event { tick, block, level, kind });
+        log.push(Event {
+            tick,
+            block,
+            level,
+            kind,
+        });
     }
 
     #[test]
@@ -334,7 +347,10 @@ mod tests {
         };
         assert_eq!(reconcile(&rec, &ok), Ok(()));
         let wrong_hits = [0, 1];
-        let bad = StatsView { hits_by_level: &wrong_hits, ..ok };
+        let bad = StatsView {
+            hits_by_level: &wrong_hits,
+            ..ok
+        };
         assert!(reconcile(&rec, &bad).is_err());
     }
 
@@ -360,7 +376,10 @@ mod tests {
         };
         assert_eq!(reconcile(&rec, &view), Ok(()));
         let all = [2];
-        let bad = StatsView { demotions_by_boundary: &all, ..view };
+        let bad = StatsView {
+            demotions_by_boundary: &all,
+            ..view
+        };
         assert!(reconcile(&rec, &bad).is_err());
     }
 }

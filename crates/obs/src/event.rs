@@ -113,7 +113,12 @@ mod tests {
 
     #[test]
     fn display_is_stable() {
-        let ev = Event { tick: 3, block: 17, level: 1, kind: EventKind::Demote };
+        let ev = Event {
+            tick: 3,
+            block: 17,
+            level: 1,
+            kind: EventKind::Demote,
+        };
         assert_eq!(format!("{ev}"), "t=3      demote    L1 block=17");
     }
 }

@@ -247,6 +247,9 @@ mod tests {
         assert_eq!(rec.metrics().counter(CounterId::Hits), 1);
         assert_eq!(rec.metrics().counter(CounterId::Misses), 1);
         // Miss events carry the L_out sentinel level.
-        assert!(rec.log().iter().any(|e| e.level as usize == rec.metrics().levels()));
+        assert!(rec
+            .log()
+            .iter()
+            .any(|e| e.level as usize == rec.metrics().levels()));
     }
 }

@@ -42,7 +42,7 @@ pub mod span;
 pub mod timeline;
 
 pub use event::{Event, EventKind};
-pub use handle::{Observe, ObsHandle};
+pub use handle::{ObsHandle, Observe};
 pub use metrics::{CounterId, HistId, LevelCounters, MetricsRegistry, Pow2Histogram, POW2_BUCKETS};
 pub use recorder::{NoopRecorder, Recorder, RingRecorder};
 pub use ring::RingLog;

@@ -124,7 +124,11 @@ impl Default for Pow2Histogram {
 impl Pow2Histogram {
     /// An empty histogram.
     pub fn new() -> Self {
-        Pow2Histogram { buckets: [0; POW2_BUCKETS], count: 0, total: 0 }
+        Pow2Histogram {
+            buckets: [0; POW2_BUCKETS],
+            count: 0,
+            total: 0,
+        }
     }
 
     /// Bucket index a value falls into.
@@ -230,7 +234,11 @@ impl MetricsRegistry {
         MetricsRegistry {
             counters: [0; CounterId::ALL.len()],
             per_level: vec![LevelCounters::default(); levels],
-            hists: [Pow2Histogram::new(), Pow2Histogram::new(), Pow2Histogram::new()],
+            hists: [
+                Pow2Histogram::new(),
+                Pow2Histogram::new(),
+                Pow2Histogram::new(),
+            ],
         }
     }
 
@@ -314,7 +322,10 @@ mod tests {
         for v in [0u64, 1, 2, 3, 4, 7, 8, 1023, 1024, u64::MAX] {
             let i = Pow2Histogram::bucket_index(v);
             let (lo, hi) = Pow2Histogram::bounds(i);
-            assert!(lo <= v && v <= hi, "value {v} outside bucket {i} [{lo}, {hi}]");
+            assert!(
+                lo <= v && v <= hi,
+                "value {v} outside bucket {i} [{lo}, {hi}]"
+            );
         }
     }
 

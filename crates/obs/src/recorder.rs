@@ -128,8 +128,11 @@ impl RingRecorder {
     /// of `window_len` ticks). Call before the run starts, or window
     /// sums will miss the events recorded earlier.
     pub fn enable_timeline(&mut self, window_len: u64, capacity: usize) {
-        self.timeline =
-            Some(Box::new(TimelineSampler::new(self.metrics.levels(), window_len, capacity)));
+        self.timeline = Some(Box::new(TimelineSampler::new(
+            self.metrics.levels(),
+            window_len,
+            capacity,
+        )));
     }
 
     /// The event log.
@@ -194,7 +197,12 @@ impl Recorder for RingRecorder {
 
     #[inline]
     fn record_event(&mut self, kind: EventKind, level: usize, block: u64) {
-        self.log.push(Event { tick: self.tick, block, level: level as u16, kind });
+        self.log.push(Event {
+            tick: self.tick,
+            block,
+            level: level as u16,
+            kind,
+        });
         tally_event(&mut self.metrics, kind, level);
         if let Some(t) = self.timeline.as_deref_mut() {
             tally_event(t.sample_window(), kind, level);

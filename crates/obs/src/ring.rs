@@ -31,7 +31,12 @@ impl RingLog {
     /// full backing store eagerly; `capacity` must be nonzero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be nonzero");
-        RingLog { buf: vec![Event::default(); capacity], next: 0, len: 0, dropped: 0 }
+        RingLog {
+            buf: vec![Event::default(); capacity],
+            next: 0,
+            len: 0,
+            dropped: 0,
+        }
     }
 
     /// Appends an event, overwriting the oldest one if the ring is full.
@@ -71,7 +76,11 @@ impl RingLog {
 
     /// Iterates the live events oldest-first.
     pub fn iter(&self) -> impl Iterator<Item = &Event> + '_ {
-        let start = if self.len < self.buf.len() { 0 } else { self.next };
+        let start = if self.len < self.buf.len() {
+            0
+        } else {
+            self.next
+        };
         (0..self.len).map(move |i| {
             let idx = (start + i) % self.buf.len();
             &self.buf[idx]
@@ -85,7 +94,12 @@ mod tests {
     use crate::event::EventKind;
 
     fn ev(tick: u64) -> Event {
-        Event { tick, block: tick * 10, level: 0, kind: EventKind::Hit }
+        Event {
+            tick,
+            block: tick * 10,
+            level: 0,
+            kind: EventKind::Hit,
+        }
     }
 
     #[test]

@@ -58,7 +58,11 @@ impl SpanCostModel {
     /// clamp to the deepest entry.
     #[inline]
     pub fn weight(&self, level: usize) -> u64 {
-        let idx = if level < MAX_SPAN_LEVELS { level } else { MAX_SPAN_LEVELS - 1 };
+        let idx = if level < MAX_SPAN_LEVELS {
+            level
+        } else {
+            MAX_SPAN_LEVELS - 1
+        };
         self.weights[idx]
     }
 }

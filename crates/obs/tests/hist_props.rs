@@ -34,7 +34,10 @@ fn bucket_index_and_bounds_round_trip_on_every_edge() {
         let i = Pow2Histogram::bucket_index(v);
         assert!(i < POW2_BUCKETS, "value {v} indexed out of range");
         let (lo, hi) = Pow2Histogram::bounds(i);
-        assert!(lo <= v && v <= hi, "value {v} outside bucket {i} [{lo}, {hi}]");
+        assert!(
+            lo <= v && v <= hi,
+            "value {v} outside bucket {i} [{lo}, {hi}]"
+        );
         // The bounds themselves map back to the same bucket.
         assert_eq!(Pow2Histogram::bucket_index(lo), i, "lo bound of bucket {i}");
         assert_eq!(Pow2Histogram::bucket_index(hi), i, "hi bound of bucket {i}");

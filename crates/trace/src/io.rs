@@ -37,7 +37,11 @@ impl ParseTraceError {
 
 impl fmt::Display for ParseTraceError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "trace parse error at line {}: {}", self.line, self.message)
+        write!(
+            f,
+            "trace parse error at line {}: {}",
+            self.line, self.message
+        )
     }
 }
 

@@ -173,9 +173,7 @@ impl Pattern for FileSetPattern {
                     self.file_of_rank.swap(hot, other);
                     self.file_blocks.swap(hot, other);
                 }
-                let rank = if !self.recent.is_empty()
-                    && self.rng.gen::<f64>() < self.recency_bias
-                {
+                let rank = if !self.recent.is_empty() && self.rng.gen::<f64>() < self.recency_bias {
                     self.recent[self.rng.gen_range(0..self.recent.len())]
                 } else {
                     self.popularity.sample(&mut self.rng)
@@ -277,19 +275,17 @@ mod tests {
         assert!(churned.unique_blocks() <= 1000);
         // The set of files receiving the most traffic differs between the
         // first and second half: popularity drifted.
-        let halves: Vec<std::collections::HashMap<FileId, usize>> = [
-            &churned.records()[..30_000],
-            &churned.records()[30_000..],
-        ]
-        .iter()
-        .map(|recs| {
-            let mut m = std::collections::HashMap::new();
-            for r in recs.iter() {
-                *m.entry(r.block.file()).or_insert(0) += 1;
-            }
-            m
-        })
-        .collect();
+        let halves: Vec<std::collections::HashMap<FileId, usize>> =
+            [&churned.records()[..30_000], &churned.records()[30_000..]]
+                .iter()
+                .map(|recs| {
+                    let mut m = std::collections::HashMap::new();
+                    for r in recs.iter() {
+                        *m.entry(r.block.file()).or_insert(0) += 1;
+                    }
+                    m
+                })
+                .collect();
         let top = |m: &std::collections::HashMap<FileId, usize>| {
             let mut v: Vec<_> = m.iter().map(|(f, &c)| (c, *f)).collect();
             v.sort_unstable_by(|a, b| b.cmp(a));
@@ -299,7 +295,10 @@ mod tests {
                 .collect::<std::collections::HashSet<_>>()
         };
         let overlap = top(&halves[0]).intersection(&top(&halves[1])).count();
-        assert!(overlap < 10, "top-10 hot files should change, overlap = {overlap}");
+        assert!(
+            overlap < 10,
+            "top-10 hot files should change, overlap = {overlap}"
+        );
     }
 
     #[test]

@@ -50,7 +50,10 @@ fn main() {
     let stats = simulate(&mut ulc, &trace, warmup);
     let costs = CostModel::paper_three_level();
 
-    println!("\nULC:       total hit rate {:>6.1}%", 100.0 * stats.total_hit_rate());
+    println!(
+        "\nULC:       total hit rate {:>6.1}%",
+        100.0 * stats.total_hit_rate()
+    );
     println!(
         "bounds:    aggregate LRU  {:>6.1}%   offline OPT {:>6.1}%",
         100.0 * bound::aggregate_lru_hit_rate(&trace, aggregate, warmup),

@@ -58,7 +58,11 @@ fn main() {
     }
 
     // Show the dynamic server allocation under ULC.
-    let mut ulc = UlcMulti::new(UlcMultiConfig::uniform(clients, client_blocks, server_blocks));
+    let mut ulc = UlcMulti::new(UlcMultiConfig::uniform(
+        clients,
+        client_blocks,
+        server_blocks,
+    ));
     let _ = simulate(&mut ulc, &trace, 0);
     println!("\nULC server allocation (blocks owned per client):");
     for (c, owned) in ulc.server_allocation().iter().enumerate() {

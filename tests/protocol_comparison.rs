@@ -100,10 +100,7 @@ fn ulc_hit_rate_monotone_in_cache_size() {
 fn level_counts() {
     assert_eq!(IndLru::single_client(vec![1, 1, 1, 1]).num_levels(), 4);
     assert_eq!(UniLru::single_client(vec![1]).num_levels(), 1);
-    assert_eq!(
-        UlcSingle::new(UlcConfig::new(vec![4, 4])).num_levels(),
-        2
-    );
+    assert_eq!(UlcSingle::new(UlcConfig::new(vec![4, 4])).num_levels(), 2);
     assert_eq!(LruMqServer::new(vec![2], 4).num_levels(), 2);
     assert_eq!(
         UlcMulti::new(UlcMultiConfig::uniform(3, 2, 8)).num_levels(),
