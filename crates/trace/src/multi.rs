@@ -58,7 +58,9 @@ pub fn interleave(
             .collect(),
     };
     let mut rng = seeded_rng(seed);
-    let mut trace = Trace::new();
+    // Sized once: grown by doubling, a 1.5 M-record Fig 7 trace would end
+    // in a 32 MiB buffer, which glibc maps and unmaps afresh every time.
+    let mut trace = Trace::with_capacity(len);
     // Touch every client once so num_clients is correct even for tiny
     // traces: the first `patterns.len()` references are round-robin.
     for i in 0..patterns.len().min(len) {

@@ -74,6 +74,15 @@ impl Trace {
         Trace::default()
     }
 
+    /// Creates an empty trace with room for `capacity` records, so a
+    /// generator that knows its length pushes them without regrowing.
+    pub fn with_capacity(capacity: usize) -> Self {
+        Trace {
+            records: Vec::with_capacity(capacity),
+            num_clients: 0,
+        }
+    }
+
     /// Creates a trace from records, inferring the client count as
     /// `max client index + 1` (0 for an empty trace).
     pub fn from_records<I: IntoIterator<Item = TraceRecord>>(records: I) -> Self {

@@ -4,6 +4,9 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Formatting: the workspace is rustfmt-clean, and stays so.
+cargo fmt --all --check
+
 cargo build --release
 cargo test -q --workspace
 
