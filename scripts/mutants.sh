@@ -60,7 +60,7 @@ for patch in "${patches[@]}"; do
     survivors+=("$name")
   else
     # The first diagnostic says which check caught it.
-    why="$(grep -m1 -E '^(error|warning)|\[NEW\]' "$log" || tail -n1 "$log")"
+    why="$(grep -m1 -E '^(error|warning|Diff in)|\[NEW\]' "$log" || tail -n1 "$log")"
     echo "mutants: caught   $name: $why"
     caught=$((caught + 1))
   fi
