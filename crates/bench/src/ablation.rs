@@ -36,8 +36,7 @@ pub fn temp_lru_hits(scale: Scale) -> Vec<AblationResult> {
     for (name, trace) in synthetic::small_suite(scale.small_refs()) {
         for (variant, count_hits) in [("paper", false), ("count-tempLRU-hits", true)] {
             let mut config = UlcConfig::new(vec![400, 400, 400]);
-            config.count_temp_lru_hits = count_hits;
-            config.temp_lru_capacity = 64;
+            config.temp_lru = count_hits.then_some(64);
             let mut ulc = UlcSingle::new(config);
             let stats = simulate(&mut ulc, &trace, trace.warmup_len());
             out.push(AblationResult {

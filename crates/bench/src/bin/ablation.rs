@@ -1,6 +1,8 @@
 //! Runs the E7 ablation studies. Usage:
 //! `ablation [--scale=smoke|default|full]`.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_bench::{ablation, Scale};
 
 fn main() {

@@ -6,6 +6,8 @@
 //! cargo run --release -p ulc-bench --bin fig1
 //! ```
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_measures::{trace_measures, INFINITE};
 use ulc_trace::{BlockId, Trace};
 

@@ -1,5 +1,7 @@
 //! Regenerates Figure 2. Usage: `fig2 [--scale=smoke|default|full]`.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_bench::{fig2, maybe_write_json, Scale};
 
 fn main() {

@@ -1,5 +1,7 @@
 //! Regenerates Figure 3. Usage: `fig3 [--scale=smoke|default|full]`.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_bench::{fig3, maybe_write_json, Scale};
 
 fn main() {

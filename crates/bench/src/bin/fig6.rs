@@ -1,5 +1,7 @@
 //! Regenerates Figure 6. Usage: `fig6 [--scale=smoke|default|full]`.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_bench::{fig6, maybe_write_json, Scale};
 
 fn main() {

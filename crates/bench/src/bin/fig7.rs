@@ -1,5 +1,7 @@
 //! Regenerates Figure 7. Usage: `fig7 [--scale=smoke|default|full]`.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_bench::{fig7, maybe_write_json, Scale};
 
 fn main() {

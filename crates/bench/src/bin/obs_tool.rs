@@ -19,6 +19,8 @@
 //! and recomputes the derived report, exiting 1 on any mismatch — the
 //! round-trip gate `scripts/tier1.sh` runs.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_bench::flight::{self, FlightExport};
 use ulc_bench::Scale;
 

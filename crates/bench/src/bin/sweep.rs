@@ -35,6 +35,8 @@
 //! record. The observability report itself is `obs-tool export`
 //! ([`ulc_bench::flight`]).
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_bench::sweep::Sweep;
 use ulc_bench::{
     ablation, degradation, fig2, fig3, fig6, fig7, maybe_write_json, table1, throughput, Scale,

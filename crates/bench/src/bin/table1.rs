@@ -1,5 +1,7 @@
 //! Regenerates Table 1. Usage: `table1 [--scale=smoke|default|full]`.
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_bench::{table1, Scale};
 
 fn main() {

@@ -19,6 +19,8 @@
 //!   exactly two levels);
 //! * `--warmup=<n>`: warm-up references (default: first tenth).
 
+#![warn(clippy::disallowed_types, clippy::disallowed_methods)]
+
 use ulc_bench::{ms, pct, row};
 use ulc_core::{UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
 use ulc_hierarchy::{

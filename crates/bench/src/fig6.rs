@@ -125,11 +125,14 @@ pub fn render(results: &[Fig6Result]) -> String {
 }
 
 /// Convenience lookup in a result set.
+#[expect(
+    clippy::panic,
+    reason = "report lookup helper; the message needs the runtime key"
+)]
 pub fn find<'a>(results: &'a [Fig6Result], trace: &str, scheme: &str) -> &'a Fig6Result {
     results
         .iter()
         .find(|r| r.trace == trace && r.scheme == scheme)
-        // lint:allow(panic) report lookup helper; the message needs the runtime key
         .unwrap_or_else(|| panic!("missing {trace}/{scheme}"))
 }
 

@@ -20,6 +20,16 @@
 //! paper scale (hours) or at a reduced reference-count scale (minutes)
 //! with identical footprints and cache-size ratios.
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub mod ablation;
 pub mod alloc_stats;
 pub mod cells;
@@ -61,7 +71,10 @@ impl Scale {
                     "smoke" => Scale::Smoke,
                     "default" => Scale::Default,
                     "full" => Scale::Full,
-                    // lint:allow(panic) CLI argument validation; aborting with a clear message is the contract
+                    #[expect(
+                        clippy::panic,
+                        reason = "CLI argument validation; aborting with a clear message is the contract"
+                    )]
                     other => panic!("unknown scale {other:?} (use smoke|default|full)"),
                 };
             }
@@ -104,12 +117,15 @@ impl Scale {
 /// # Panics
 ///
 /// Panics if the file cannot be written.
+#[expect(
+    clippy::panic,
+    reason = "documented `# Panics` contract; the message needs the runtime path"
+)]
 pub fn maybe_write_json<T: Serialize>(value: &T) {
     for arg in std::env::args() {
         if let Some(path) = arg.strip_prefix("--json=") {
-            let file = std::fs::File::create(path)
-                // lint:allow(panic) documented `# Panics` contract; the message needs the runtime path
-                .unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
+            let file =
+                std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
             serde_json::to_writer_pretty(file, value).expect("JSON serialisation");
             eprintln!("wrote {path}");
         }

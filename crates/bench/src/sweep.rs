@@ -137,7 +137,10 @@ impl<R: Send> Sweep<R> {
     /// Runs every queued task across the worker pool; returns the results
     /// in submission order plus the timing summary.
     pub fn run(self) -> (Vec<R>, SweepSummary) {
-        // lint:allow(determinism) wall-clock timing of the sweep harness itself; never feeds simulator results
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "wall-clock timing of the sweep harness itself; never feeds simulator results"
+        )]
         let started = Instant::now();
         let cells: Vec<TaskSlot<R>> = self
             .tasks
@@ -150,7 +153,10 @@ impl<R: Send> Sweep<R> {
                 .expect("unpoisoned task slot")
                 .take()
                 .expect("each task runs once");
-            // lint:allow(determinism) per-task wall time for the timing summary; never feeds simulator results
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "per-task wall time for the timing summary; never feeds simulator results"
+            )]
             let t0 = Instant::now();
             let result = task();
             (name, result, t0.elapsed().as_secs_f64() * 1e3)

@@ -9,8 +9,13 @@
 //! Each engine is warmed until every pooled buffer's high-water mark has
 //! settled, then driven for a measured phase between [`reset`] and
 //! [`snapshot`] — which must count **zero** allocations on this thread.
+//! Every cell of the golden `SimStats` grid is held to it, from the one
+//! catalog `crates/core/tests/golden_stats.rs` replays.
 
 #![cfg(feature = "alloc_stats")]
+
+#[path = "../../core/tests/common/mod.rs"]
+mod common;
 
 use ulc_bench::alloc_stats::{reset, snapshot};
 use ulc_core::{ShardedReplayer, UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
@@ -37,6 +42,32 @@ fn steady_allocs<P: MultiLevelPolicy>(mut policy: P, trace: &Trace) -> u64 {
     let snap = snapshot();
     std::hint::black_box(&out);
     snap.allocs
+}
+
+/// Collects the golden-grid cells whose steady tail allocated.
+struct SteadyAllocs(Vec<String>);
+
+impl common::grid::Cells for SteadyAllocs {
+    fn cell<P: MultiLevelPolicy>(&mut self, name: &str, trace: &Trace, make: impl Fn() -> P) {
+        let allocs = steady_allocs(make(), trace);
+        if allocs > 0 {
+            self.0.push(format!("{name}: {allocs}"));
+        }
+    }
+}
+
+/// Every engine × configuration × workload of the golden grid, the
+/// crashy `FaultyPlane` legs (drops, duplicates, delays, NACK
+/// reconciliation) included, replays its last tenth allocation-free.
+#[test]
+fn every_golden_cell_settles_allocation_free() {
+    let mut gate = SteadyAllocs(Vec::new());
+    common::grid::visit(&mut gate);
+    assert!(
+        gate.0.is_empty(),
+        "steady-state allocations per cell: {:?}",
+        gate.0
+    );
 }
 
 #[test]

@@ -7,9 +7,6 @@
 //! [`lru_stack_distances`] computes it in O(n log n) on a [`RecencyList`]
 //! (a stamp-keyed Fenwick LRU list), instead of O(n²) list walking.
 
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
-
 use crate::RecencyList;
 use fxhash::FxHashMap;
 use std::hash::Hash;

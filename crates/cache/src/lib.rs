@@ -34,6 +34,16 @@
 //! assert!(lru.is_full());
 //! ```
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 mod distance;
 mod indexed_list;
 mod lirs;

@@ -14,9 +14,6 @@
 //! of resident HIR blocks, stack pruning, and LIR/HIR status exchanges on
 //! low-recency re-references.
 
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
-
 use crate::{CacheEvent, LruStack};
 use fxhash::FxHashMap;
 use std::hash::Hash;

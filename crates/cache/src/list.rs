@@ -5,7 +5,8 @@
 //! from anywhere, and stable references to interior nodes (the paper's
 //! *yardsticks* are exactly such references). [`LinkedSlab`] provides that
 //! without unsafe code: nodes live in a `Vec`, links are indices, and freed
-//! slots are recycled through a free list.
+//! slots are recycled through a free list threaded through their unused
+//! `next` links.
 //!
 //! Handles are generation-checked: using a handle after its node was removed
 //! returns `None` (or panics in the `expect`-style accessors) instead of
@@ -46,6 +47,7 @@ struct Node<T> {
     value: Option<T>,
     generation: u32,
     prev: u32,
+    /// The next linked node; on a vacant slot, the next free slot.
     next: u32,
 }
 
@@ -70,7 +72,8 @@ struct Node<T> {
 #[derive(Clone, Debug)]
 pub struct LinkedSlab<T> {
     nodes: Vec<Node<T>>,
-    free: Vec<u32>,
+    /// The most recently vacated slot, the head of the free chain.
+    free: u32,
     head: u32,
     tail: u32,
     len: usize,
@@ -89,7 +92,7 @@ impl<T> LinkedSlab<T> {
     pub fn new() -> Self {
         LinkedSlab {
             nodes: Vec::new(),
-            free: Vec::new(),
+            free: NIL,
             head: NIL,
             tail: NIL,
             len: 0,
@@ -102,7 +105,7 @@ impl<T> LinkedSlab<T> {
     pub fn with_capacity(capacity: usize) -> Self {
         LinkedSlab {
             nodes: Vec::with_capacity(capacity),
-            free: Vec::new(),
+            free: NIL,
             head: NIL,
             tail: NIL,
             len: 0,
@@ -111,17 +114,16 @@ impl<T> LinkedSlab<T> {
         }
     }
 
-    /// Pre-sizes the slab for `capacity` total node slots: both the node
-    /// vector and the free list are grown so that any interleaving of
-    /// insertions and removals over at most `capacity` slots triggers no
-    /// further allocation (the free list can hold every slot at once).
-    /// Part of the zero-allocation steady-state contract (DESIGN.md §5f):
-    /// a slab that reaches its occupancy high-water late in a run would
-    /// otherwise pay a doubling realloc inside the measured phase.
+    /// Pre-sizes the slab for `capacity` total node slots, so that any
+    /// interleaving of insertions and removals over at most `capacity`
+    /// slots triggers no further allocation (vacant slots are reused
+    /// before the slab grows). Part of the zero-allocation steady-state
+    /// contract (DESIGN.md §5f): a slab that reaches its occupancy
+    /// high-water late in a run would otherwise pay a doubling realloc
+    /// inside the measured phase.
     pub fn reserve(&mut self, capacity: usize) {
         self.nodes
             .reserve(capacity.saturating_sub(self.nodes.len()));
-        self.free.reserve(capacity.saturating_sub(self.free.len()));
     }
 
     /// Number of nodes in the list.
@@ -134,24 +136,33 @@ impl<T> LinkedSlab<T> {
         self.len == 0
     }
 
+    /// Takes the most recently vacated slot, else a new one. Callers set
+    /// both links of the returned node.
     fn alloc(&mut self, value: T) -> u32 {
-        match self.free.pop() {
-            Some(i) => {
-                let node = &mut self.nodes[i as usize];
-                node.value = Some(value);
-                i
-            }
-            None => {
-                assert!(self.nodes.len() < NIL as usize, "LinkedSlab capacity");
-                self.nodes.push(Node {
-                    value: Some(value),
-                    generation: 0,
-                    prev: NIL,
-                    next: NIL,
-                });
-                (self.nodes.len() - 1) as u32
-            }
+        if self.free != NIL {
+            let i = self.free;
+            let node = &mut self.nodes[i as usize];
+            self.free = node.next;
+            node.value = Some(value);
+            return i;
         }
+        assert!(self.nodes.len() < NIL as usize, "LinkedSlab capacity");
+        self.nodes.push(Node {
+            value: Some(value),
+            generation: 0,
+            prev: NIL,
+            next: NIL,
+        });
+        (self.nodes.len() - 1) as u32
+    }
+
+    /// Vacates slot `i` (already unlinked) and pushes it on the free chain.
+    fn release(&mut self, i: u32) -> Option<T> {
+        let node = &mut self.nodes[i as usize];
+        node.generation = node.generation.wrapping_add(1);
+        node.next = self.free;
+        self.free = i;
+        node.value.take()
     }
 
     fn valid(&self, h: NodeHandle) -> bool {
@@ -254,10 +265,7 @@ impl<T> LinkedSlab<T> {
             return None;
         }
         self.unlink(h.index);
-        let node = &mut self.nodes[h.index as usize];
-        node.generation = node.generation.wrapping_add(1);
-        let value = node.value.take();
-        self.free.push(h.index);
+        let value = self.release(h.index);
         self.len -= 1;
         self.debug_validate();
         value
@@ -368,7 +376,7 @@ impl<T> LinkedSlab<T> {
 
     /// Deep structural validation: forward/backward link symmetry, length
     /// accounting, and free-slot bookkeeping (every slot is either linked
-    /// with a value or parked on the free list, never both).
+    /// with a value or vacant on the free chain, never both).
     ///
     /// O(n). Panics with a description of the first violated invariant.
     /// With the `debug_invariants` feature this runs automatically after
@@ -388,17 +396,20 @@ impl<T> LinkedSlab<T> {
         }
         assert_eq!(self.tail, prev, "tail must be the last reachable node");
         assert_eq!(self.len, count, "len must count the reachable nodes");
-        assert_eq!(
-            self.free.len(),
-            self.nodes.len() - count,
-            "every unlinked slot must be on the free list"
-        );
-        for &f in &self.free {
-            assert!(
-                self.nodes[f as usize].value.is_none(),
-                "free slot {f} must be vacant"
-            );
+        let mut vacant = 0usize;
+        let mut f = self.free;
+        while f != NIL {
+            let n = &self.nodes[f as usize];
+            assert!(n.value.is_none(), "free slot {f} must be vacant");
+            vacant += 1;
+            assert!(vacant <= self.nodes.len(), "cycle in the free chain");
+            f = n.next;
         }
+        assert_eq!(
+            vacant,
+            self.nodes.len() - count,
+            "every unlinked slot must be on the free chain"
+        );
     }
 
     /// Runs [`Self::check_invariants`] when the `debug_invariants`
@@ -421,10 +432,7 @@ impl<T> LinkedSlab<T> {
         let mut i = self.head;
         while i != NIL {
             let next = self.nodes[i as usize].next;
-            let node = &mut self.nodes[i as usize];
-            node.value = None;
-            node.generation = node.generation.wrapping_add(1);
-            self.free.push(i);
+            self.release(i);
             i = next;
         }
         self.head = NIL;

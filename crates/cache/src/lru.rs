@@ -1,8 +1,5 @@
 //! Keyed LRU stacks and a bounded LRU cache.
 
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
-
 use crate::{LinkedSlab, NodeHandle};
 use fxhash::FxHashMap;
 use std::hash::Hash;
@@ -83,6 +80,18 @@ impl<K: Eq + Hash + Clone> LruStack<K> {
     pub fn new() -> Self {
         LruStack::with_locator(FxHashMap::default())
     }
+
+    /// Creates an empty stack that holds up to `capacity` keys without
+    /// allocating again (DESIGN.md §5f). The table gets room for twice
+    /// that many: a hash table kept near full by insert/remove churn grows
+    /// to clear its tombstones, while one at most half full rehashes them
+    /// in place.
+    pub fn with_capacity(capacity: usize) -> Self {
+        LruStack {
+            list: LinkedSlab::with_capacity(capacity),
+            map: FxHashMap::with_capacity_and_hasher(2 * capacity, Default::default()),
+        }
+    }
 }
 
 impl<K: Clone, M: NodeLocator<K>> LruStack<K, M> {
@@ -123,7 +132,6 @@ impl<K: Clone, M: NodeLocator<K>> LruStack<K, M> {
             self.list.move_to_front(h);
             true
         } else {
-            // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
             let h = self.list.push_front(key.clone());
             self.map.record(key, h);
             false
@@ -137,7 +145,6 @@ impl<K: Clone, M: NodeLocator<K>> LruStack<K, M> {
             self.list.move_to_back(h);
             true
         } else {
-            // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
             let h = self.list.push_back(key.clone());
             self.map.record(key, h);
             false

@@ -13,7 +13,7 @@
 //! LRU client, exactly as its authors intended.
 
 use crate::{CacheEvent, LruStack};
-use std::collections::HashMap;
+use fxhash::FxHashMap;
 use std::hash::Hash;
 
 /// Configuration for a [`MultiQueue`] cache.
@@ -64,9 +64,9 @@ struct MqMeta {
 #[derive(Clone, Debug)]
 pub struct MultiQueue<K: Eq + Hash + Clone> {
     queues: Vec<LruStack<K>>,
-    meta: HashMap<K, MqMeta>,
+    meta: FxHashMap<K, MqMeta>,
     ghost: LruStack<K>,
-    ghost_freq: HashMap<K, u64>,
+    ghost_freq: FxHashMap<K, u64>,
     capacity: usize,
     config: MqConfig,
     now: u64,
@@ -83,11 +83,19 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
         assert!(capacity > 0, "cache capacity must be positive");
         assert!(config.num_queues > 0, "MQ needs at least one queue");
         assert!(config.life_time > 0, "MQ lifeTime must be positive");
+        // Sized once for the worst case, so blocks moving between queues
+        // never grow a table mid-run (DESIGN.md §5f): any queue may hold
+        // every cached block, and the ghost queue holds one entry over its
+        // bound between a touch and its trim. The maps get the same 2×
+        // headroom as `LruStack::with_capacity`.
+        let ghost_capacity = config.ghost_capacity + 1;
         MultiQueue {
-            queues: (0..config.num_queues).map(|_| LruStack::new()).collect(),
-            meta: HashMap::new(),
-            ghost: LruStack::new(),
-            ghost_freq: HashMap::new(),
+            queues: (0..config.num_queues)
+                .map(|_| LruStack::with_capacity(capacity))
+                .collect(),
+            meta: FxHashMap::with_capacity_and_hasher(2 * capacity, Default::default()),
+            ghost: LruStack::with_capacity(ghost_capacity),
+            ghost_freq: FxHashMap::with_capacity_and_hasher(2 * ghost_capacity, Default::default()),
             capacity,
             config,
             now: 0,
@@ -136,7 +144,6 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
             let expired = self.meta.get(&head).is_some_and(|m| m.expire_at < self.now);
             if expired {
                 self.queues[q].remove(&head);
-                // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
                 self.queues[q - 1].touch(head.clone());
                 let m = self.meta.get_mut(&head).expect("head has metadata");
                 m.queue = q - 1;
@@ -146,7 +153,6 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
     }
 
     fn remember_ghost(&mut self, key: K, frequency: u64) {
-        // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
         self.ghost.touch(key.clone());
         self.ghost_freq.insert(key, frequency);
         while self.ghost.len() > self.config.ghost_capacity {
@@ -160,7 +166,6 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
         let victim = self.queues.iter().find_map(|q| q.bottom().cloned())?;
         let meta = self.meta.remove(&victim).expect("victim has metadata");
         self.queues[meta.queue].remove(&victim);
-        // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
         self.remember_ghost(victim.clone(), meta.frequency);
         Some(victim)
     }
@@ -195,7 +200,6 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
             self.ghost.remove(&key);
             let frequency = remembered + 1;
             let queue = self.queue_for(frequency);
-            // lint:allow(hot-path-alloc) K is Copy (BlockId) on every simulation path; K::clone is a move
             self.queues[queue].touch(key.clone());
             self.meta.insert(
                 key,

@@ -5,9 +5,6 @@
 //! distance) measure. The simulator feeds [`OptCache`] the next-use time of
 //! every reference, precomputed by [`next_use_times`].
 
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
-
 use crate::CacheEvent;
 use fxhash::FxHashMap;
 use std::collections::hash_map::Entry;

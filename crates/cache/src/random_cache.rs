@@ -6,9 +6,9 @@
 //! size".
 
 use crate::CacheEvent;
+use fxhash::FxHashMap;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A capacity-bounded cache that evicts a uniformly random resident block.
@@ -26,7 +26,7 @@ use std::hash::Hash;
 #[derive(Clone, Debug)]
 pub struct RandomCache<K: Eq + Hash + Clone> {
     slots: Vec<K>,
-    index: HashMap<K, usize>,
+    index: FxHashMap<K, usize>,
     capacity: usize,
     rng: StdRng,
 }
@@ -42,7 +42,7 @@ impl<K: Eq + Hash + Clone> RandomCache<K> {
         assert!(capacity > 0, "cache capacity must be positive");
         RandomCache {
             slots: Vec::with_capacity(capacity),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             capacity,
             rng: StdRng::seed_from_u64(seed),
         }

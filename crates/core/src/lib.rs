@@ -60,6 +60,16 @@
 //! assert!(s_ulc.average_access_time(&costs) < s_uni.average_access_time(&costs));
 //! ```
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 mod multi;
 pub mod parallel;
 pub mod reference;

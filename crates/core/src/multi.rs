@@ -40,8 +40,9 @@
 //! repair. A server crash-and-cold-restart marks every client dirty so
 //! each rebuilds its status table on its next access.
 
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
+// Every match over a plane enum names each variant, so a new message
+// kind fails to compile until this module decides what to do with it.
+#![warn(clippy::wildcard_enum_match_arm)]
 
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
@@ -259,13 +260,16 @@ pub struct UlcMulti<P: MessagePlane = ReliablePlane> {
     /// counters itself).
     recovery: FaultSummary,
     /// Reusable per-access buffers: the client stack's scratch, the two
-    /// delivery batches (server inbox, per-client notices) and the crash
-    /// buffer. Once their high-water marks settle the steady-state access
-    /// path performs no heap allocation (DESIGN.md §5f).
+    /// delivery batches (server inbox, per-client notices), the crash
+    /// buffer and the block list a reconciliation round walks (reserved
+    /// for the largest level up front). Once their high-water marks settle
+    /// the steady-state access path performs no heap allocation, NACK
+    /// reconciliation on a lossy plane included (DESIGN.md §5f).
     scratch: AccessScratch,
     inbox: DeliveryBatch,
     notices: DeliveryBatch,
     crash_buf: Vec<usize>,
+    level_buf: Vec<BlockId>,
     /// Observability hooks (no-op unless the `obs` feature is on and a
     /// recorder has been attached; DESIGN.md §5h).
     obs: ObsHandle,
@@ -308,6 +312,10 @@ impl UlcMulti {
                 }
             })
             .collect();
+        let largest_level = config
+            .client_capacities
+            .iter()
+            .fold(config.server_capacity, |m, &c| m.max(c));
         UlcMulti {
             clients,
             server: GlobalLru::new(config.server_capacity),
@@ -319,6 +327,7 @@ impl UlcMulti {
             inbox: DeliveryBatch::new(),
             notices: DeliveryBatch::new(),
             crash_buf: Vec::new(),
+            level_buf: Vec::with_capacity(largest_level),
             obs: ObsHandle::default(),
             #[cfg(feature = "debug_invariants")]
             tick: 0,
@@ -341,6 +350,7 @@ impl<P: MessagePlane> UlcMulti<P> {
             inbox: self.inbox,
             notices: self.notices,
             crash_buf: self.crash_buf,
+            level_buf: self.level_buf,
             obs: self.obs,
             #[cfg(feature = "debug_invariants")]
             tick: self.tick,
@@ -449,7 +459,6 @@ impl<P: MessagePlane> UlcMulti<P> {
     }
 
     /// Amortised feature-gated self-check after each access.
-    // lint:cold-path feature-gated deep validation, compiled out of release builds
     #[cfg(feature = "debug_invariants")]
     fn debug_validate(&mut self) {
         self.tick += 1;
@@ -545,7 +554,7 @@ impl<P: MessagePlane> UlcMulti<P> {
                     self.apply_directive(block, owner);
                 }
                 // ULC's down links carry only directives.
-                _ => {}
+                Message::EvictNotice { .. } | Message::Reload { .. } => {}
             }
         }
         self.inbox = inbox;
@@ -562,12 +571,15 @@ impl<P: MessagePlane> UlcMulti<P> {
         let mut notices = std::mem::take(&mut self.notices);
         self.plane.deliver_into(c, Direction::Up, &mut notices);
         for &msg in &notices {
-            // lint:allow(plane-exhaustive) the server's Up traffic is only replacement notices; foreign kinds are dropped by design
-            if let Message::EvictNotice { block: victim } = msg {
-                if self.server.owner_of(victim) == Some(c as u32) {
-                    continue;
+            match msg {
+                Message::EvictNotice { block: victim } => {
+                    if self.server.owner_of(victim) == Some(c as u32) {
+                        continue;
+                    }
+                    Self::apply_replacement(&mut self.clients[c], victim);
                 }
-                Self::apply_replacement(&mut self.clients[c], victim);
+                // The server's Up traffic is only replacement notices.
+                Message::Demote { .. } | Message::CacheRequest { .. } | Message::Reload { .. } => {}
             }
         }
         self.notices = notices;
@@ -576,7 +588,6 @@ impl<P: MessagePlane> UlcMulti<P> {
     /// Wipes crashed levels. A server cold restart marks every client's
     /// status table dirty: each rebuilds it via [`UlcMulti::reconcile_client`]
     /// before its next access is served.
-    // lint:cold-path crash recovery rebuilds whole stacks; allocation is by design
     fn apply_crashes(&mut self) {
         let mut crashes = std::mem::take(&mut self.crash_buf);
         self.plane.take_crashes_into(&mut crashes);
@@ -613,7 +624,6 @@ impl<P: MessagePlane> UlcMulti<P> {
     ///    exclusive caching; the server copy is purged (the private copy
     ///    is authoritative — repairing toward the faster level never
     ///    loses data).
-    // lint:cold-path NACK/restart reconciliation, off the steady-state access path
     pub fn reconcile_client(&mut self, c: usize) {
         self.recovery.reconciliation_rounds += 1;
         self.obs.on_reconcile(c);
@@ -622,22 +632,28 @@ impl<P: MessagePlane> UlcMulti<P> {
     }
 
     fn nack_sweep(&mut self, c: usize) {
-        for b in self.clients[c].stack.level_blocks(1) {
+        let mut blocks = std::mem::take(&mut self.level_buf);
+        self.clients[c].stack.level_blocks_into(1, &mut blocks);
+        for &b in &blocks {
             if !self.server.contains(b) {
                 self.clients[c].stack.evict_cached(b, 1);
                 self.recovery.stale_status_hits += 1;
             }
         }
+        self.level_buf = blocks;
     }
 
     fn repair_residency(&mut self, c: usize) {
-        for b in self.clients[c].stack.level_blocks(0) {
+        let mut blocks = std::mem::take(&mut self.level_buf);
+        self.clients[c].stack.level_blocks_into(0, &mut blocks);
+        for &b in &blocks {
             if self.server.owner_of(b) == Some(c as u32) {
                 self.server.remove(b);
                 self.recovery.residency_violations_detected += 1;
                 self.recovery.residency_violations_repaired += 1;
             }
         }
+        self.level_buf = blocks;
     }
 
     /// Runs a reconciliation round for every client. After
@@ -809,7 +825,7 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
                     },
                 );
             }
-            _ => {}
+            Placement::Level(_) | Placement::Uncached => {}
         }
         // Demote(b, 1, 2) instructions from the client's cascade.
         for i in 0..self.scratch.demoted.len() {

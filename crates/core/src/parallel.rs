@@ -55,9 +55,6 @@
 //! tick advances once per access in trace order, so an observed run is
 //! replayed by the one driver that issues accesses in that order.
 
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
-
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
 use crate::UlcMulti;

@@ -22,14 +22,11 @@ pub struct UlcConfig {
     /// Bound on `uniLRUstack` metadata entries (`None` = bounded only by
     /// the last yardstick, §3.2).
     pub stack_limit: Option<usize>,
-    /// Capacity of the client's `tempLRU` for pass-through blocks (used
-    /// only when `count_temp_lru_hits` is set).
-    pub temp_lru_capacity: usize,
-    /// Count a reference that finds its block still sitting in `tempLRU`
-    /// as a client-memory hit. The paper treats such blocks as immediately
-    /// replaced (`false`); enabling this is an ablation extension, and the
-    /// only configuration that builds a `tempLRU` at all.
-    pub count_temp_lru_hits: bool,
+    /// Capacity of the client's `tempLRU` for pass-through blocks, whose
+    /// re-reference then counts as a client-memory hit. The paper treats
+    /// such blocks as immediately replaced (`None`, no `tempLRU` at all);
+    /// `Some` is an ablation extension.
+    pub temp_lru: Option<usize>,
 }
 
 impl UlcConfig {
@@ -38,8 +35,7 @@ impl UlcConfig {
         UlcConfig {
             capacities,
             stack_limit: None,
-            temp_lru_capacity: 16,
-            count_temp_lru_hits: false,
+            temp_lru: None,
         }
     }
 }
@@ -87,8 +83,8 @@ impl MessageStats {
 #[derive(Debug)]
 pub struct UlcSingle {
     stack: UniLruStack,
-    /// The pass-through stack, present only when `count_temp_lru_hits`
-    /// reads it: the paper's blocks leave it unread (§3.2, footnote 3).
+    /// The pass-through stack, present only when `UlcConfig::temp_lru`
+    /// asks for it: the paper's blocks leave it unread (§3.2, footnote 3).
     temp_lru: Option<LruStack<BlockId>>,
     config: UlcConfig,
     messages: MessageStats,
@@ -112,7 +108,7 @@ impl UlcSingle {
         let levels = config.capacities.len();
         UlcSingle {
             stack,
-            temp_lru: config.count_temp_lru_hits.then(LruStack::new),
+            temp_lru: config.temp_lru.map(|_| LruStack::new()),
             config,
             messages: MessageStats::new(levels),
             scratch: AccessScratch::new(),
@@ -162,14 +158,15 @@ impl UlcSingle {
     }
 
     fn note_temp_lru(&mut self, block: BlockId, placed: Placement) {
-        let Some(temp_lru) = self.temp_lru.as_mut() else {
+        let (Some(temp_lru), Some(capacity)) = (self.temp_lru.as_mut(), self.config.temp_lru)
+        else {
             return;
         };
         // A block not cached at the client passes through tempLRU so it
         // can be replaced from client memory quickly (§3.2, footnote 3).
         if placed != Placement::Level(0) {
             temp_lru.touch(block);
-            while temp_lru.len() > self.config.temp_lru_capacity {
+            while temp_lru.len() > capacity {
                 temp_lru.pop_bottom();
             }
         } else {
@@ -341,8 +338,7 @@ mod tests {
     fn temp_lru_stays_bounded() {
         let t = synthetic::random_small(5_000);
         let mut config = UlcConfig::new(vec![50, 50]);
-        config.temp_lru_capacity = 8;
-        config.count_temp_lru_hits = true;
+        config.temp_lru = Some(8);
         let mut ulc = UlcSingle::new(config);
         let _ = simulate(&mut ulc, &t, 0);
         let temp_lru = ulc
@@ -355,7 +351,7 @@ mod tests {
     #[test]
     fn temp_lru_hit_ablation_counts_client_hits() {
         let mut config = UlcConfig::new(vec![1, 1]);
-        config.count_temp_lru_hits = true;
+        config.temp_lru = Some(16);
         let mut ulc = UlcSingle::new(config);
         let b = BlockId::new(9);
         let c = ClientId::SINGLE;

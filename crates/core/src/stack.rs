@@ -32,9 +32,6 @@
 //! trimmed (§3.2: the stack size is bounded by `Yₙ`; §5: cold entries can
 //! be trimmed to bound metadata).
 
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
-
 use crate::scratch::AccessScratch;
 use ulc_cache::{LinkedSlab, NodeHandle};
 use ulc_trace::{BlockId, BlockMap};
@@ -241,11 +238,20 @@ impl UniLruStack {
 
     /// All blocks cached at `level`, from most to least recent. O(stack).
     pub fn level_blocks(&self, level: usize) -> Vec<BlockId> {
-        self.list
-            .iter()
-            .filter(|(_, e)| e.level == level as u8)
-            .map(|(_, e)| e.block)
-            .collect()
+        let mut blocks = Vec::new();
+        self.level_blocks_into(level, &mut blocks);
+        blocks
+    }
+
+    /// [`Self::level_blocks`] into a reused buffer, cleared first.
+    pub(crate) fn level_blocks_into(&self, level: usize, blocks: &mut Vec<BlockId>) {
+        blocks.clear();
+        blocks.extend(
+            self.list
+                .iter()
+                .filter(|(_, e)| e.level == level as u8)
+                .map(|(_, e)| e.block),
+        );
     }
 
     fn entry(&self, h: NodeHandle) -> &Entry {
@@ -553,7 +559,6 @@ impl UniLruStack {
 
     /// Amortised feature-gated self-check: every mutation while the stack
     /// is small, every 256th once it grows.
-    // lint:cold-path feature-gated deep validation, compiled out of release builds
     #[inline]
     fn debug_validate(&mut self) {
         #[cfg(feature = "debug_invariants")]

@@ -6,6 +6,8 @@
     reason = "each suite compiles this module on its own and uses a different subset of the helpers"
 )]
 
+pub mod grid;
+
 use ulc_hierarchy::plane::FaultScenario;
 use ulc_hierarchy::{AccessOutcome, MultiLevelPolicy, SimStats};
 use ulc_trace::{synthetic, Trace};

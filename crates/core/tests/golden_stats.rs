@@ -9,25 +9,16 @@
 //! every fault-summary counter — and its `{:?}` line must equal the
 //! cell's line in `golden/sim_stats.txt`.
 //!
-//! The grid covers ULC-single, the three uniLRU variants, indLRU,
-//! evict-reload at latency 0 and 7, a demotion-buffered uniLRU and LRU+MQ
-//! over every smoke-scale single-client trace; ULC-multi over the three
-//! multi-client workloads (httpd's file-set ids land in `BlockMap`'s
-//! sparse tier); and the crashy `FaultyPlane` legs ULC/httpd and
-//! uniLRU/cs, whose drop/duplicate/delay/crash fates and recovery
-//! counters are frozen too.
+//! The cells are the catalog in `common/grid.rs`, which the alloc gate
+//! shares.
 //!
 //! There is no bless switch. On a mismatch the test prints the whole
 //! actual text, so an intended change to simulated numbers is a
 //! deliberate edit of the golden file that shows in the diff.
 
-use ulc_core::{UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
-use ulc_hierarchy::plane::FaultyPlane;
-use ulc_hierarchy::{
-    simulate, DemotionBuffer, EvictionBased, IndLru, LruMqServer, MultiLevelPolicy, UniLru,
-    UniLruVariant,
-};
-use ulc_trace::{synthetic, Trace};
+use common::grid;
+use ulc_hierarchy::{simulate, MultiLevelPolicy};
+use ulc_trace::Trace;
 
 mod common;
 
@@ -51,63 +42,20 @@ fn cell<P: MultiLevelPolicy>(name: &str, trace: &Trace, make: impl Fn() -> P) ->
     format!("{name}: {stats:?}")
 }
 
-/// Every cell of the grid, in golden-file order.
-fn grid() -> Vec<String> {
-    let mut lines = Vec::new();
-    for (name, trace) in common::single_client_workloads() {
-        lines.push(cell(&format!("ULC-single/{name}"), &trace, || {
-            UlcSingle::new(UlcConfig::new(vec![400, 400, 400]))
-        }));
-        for variant in [
-            UniLruVariant::MruInsert,
-            UniLruVariant::LruInsert,
-            UniLruVariant::Adaptive,
-        ] {
-            lines.push(cell(&format!("uniLRU/{variant:?}/{name}"), &trace, || {
-                UniLru::multi_client(vec![400], vec![400, 400], variant)
-            }));
-        }
-        lines.push(cell(&format!("indLRU/{name}"), &trace, || {
-            IndLru::single_client(vec![400, 400, 400])
-        }));
-        for latency in [0u64, 7] {
-            lines.push(cell(
-                &format!("evict-reload/{latency}/{name}"),
-                &trace,
-                || EvictionBased::new(vec![400], 800, latency),
-            ));
-        }
-        lines.push(cell(&format!("buffered/{name}"), &trace, || {
-            DemotionBuffer::new(UniLru::single_client(vec![400, 400]), 16, 0.2)
-        }));
-        lines.push(cell(&format!("LRU+MQ/{name}"), &trace, || {
-            LruMqServer::new(vec![400], 800)
-        }));
-    }
-    for (name, trace, clients) in common::multi_client_workloads() {
-        lines.push(cell(&format!("ULC/{name}"), &trace, || {
-            UlcMulti::new(UlcMultiConfig::uniform(clients, 256, 2048))
-        }));
-    }
+/// Collects each cell's line, in golden-file order.
+struct Lines(Vec<String>);
 
-    let scenario = common::crashy_mild_scenario();
-    lines.push(cell(
-        "ULC/faulty/httpd",
-        &synthetic::httpd_multi(30_000),
-        || {
-            UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048))
-                .with_plane(FaultyPlane::new(scenario.clone()))
-        },
-    ));
-    lines.push(cell("uniLRU/faulty/cs", &synthetic::cs(30_000), || {
-        UniLru::single_client(vec![500, 500, 500]).with_plane(FaultyPlane::new(scenario.clone()))
-    }));
-    lines
+impl grid::Cells for Lines {
+    fn cell<P: MultiLevelPolicy>(&mut self, name: &str, trace: &Trace, make: impl Fn() -> P) {
+        self.0.push(cell(name, trace, make));
+    }
 }
 
 #[test]
 fn every_cell_matches_the_golden_grid() {
-    let lines = grid();
+    let mut lines = Lines(Vec::new());
+    grid::visit(&mut lines);
+    let lines = lines.0;
     let mut actual = lines.join("\n");
     actual.push('\n');
     if actual == GOLDEN {

@@ -18,8 +18,9 @@
 //! fetch (the block is re-read from disk on its next reference), and a
 //! duplicated order degrades to a refresh of the pending entry.
 
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
+// Every match over a plane enum names each variant, so a new message
+// kind fails to compile until this module decides what to do with it.
+#![warn(clippy::wildcard_enum_match_arm)]
 
 use crate::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
 use crate::stats::FaultSummary;
@@ -138,12 +139,17 @@ impl<P: MessagePlane> EvictionBased<P> {
         let mut batch = std::mem::take(&mut self.batch);
         self.plane.deliver_into(0, Direction::Down, &mut batch);
         for &msg in &batch {
-            // lint:allow(plane-exhaustive) eviction-based placement sends only Reload orders downstream; foreign kinds are dropped by design
-            if let Message::Reload { block } = msg {
-                self.reloads += 1;
-                self.pending.insert(block, self.now + self.reload_latency);
-                self.order
-                    .push_back((self.now + self.reload_latency, block));
+            match msg {
+                Message::Reload { block } => {
+                    self.reloads += 1;
+                    self.pending.insert(block, self.now + self.reload_latency);
+                    self.order
+                        .push_back((self.now + self.reload_latency, block));
+                }
+                // Eviction-based placement sends only reload orders down.
+                Message::Demote { .. }
+                | Message::CacheRequest { .. }
+                | Message::EvictNotice { .. } => {}
             }
         }
         self.batch = batch;
@@ -151,7 +157,6 @@ impl<P: MessagePlane> EvictionBased<P> {
 
     /// Wipes crashed levels; a server crash also forgets every in-flight
     /// disk fetch.
-    // lint:cold-path crash recovery rebuilds whole caches; allocation is by design
     fn apply_crashes(&mut self) {
         let mut crashes = std::mem::take(&mut self.crash_buf);
         self.plane.take_crashes_into(&mut crashes);
@@ -196,7 +201,7 @@ impl<P: MessagePlane> MultiLevelPolicy for EvictionBased<P> {
                 // The server never saw the read.
                 self.obs.on_fault(1, block.raw());
             }
-            fate => {
+            RpcFate::Delivered | RpcFate::ReplyLost => {
                 if self.server.contains(&block) {
                     // Exclusive promotion, like DEMOTE. On a lost reply the
                     // server still gives the block up but the copy vanishes

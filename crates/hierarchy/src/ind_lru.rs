@@ -91,7 +91,6 @@ impl<P: MessagePlane> IndLru<P> {
     }
 
     /// Wipes crashed levels (cold restart).
-    // lint:cold-path crash recovery rebuilds whole caches; allocation is by design
     fn apply_crashes(&mut self) {
         let mut crashes = std::mem::take(&mut self.crash_buf);
         self.plane.take_crashes_into(&mut crashes);

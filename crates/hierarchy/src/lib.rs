@@ -42,6 +42,16 @@
 //! assert!(su.average_access_time(&costs) < si.average_access_time(&costs));
 //! ```
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub mod bound;
 mod cost;
 mod demotion_buffer;

@@ -29,12 +29,9 @@
 //! side with [`MessagePlane::deliver_into`].
 //!
 //! Determinism: [`FaultyPlane`] draws every fault decision from the
-//! vendored `rand::rngs::StdRng` seeded by [`FaultScenario::seed`] — the
-//! `ulc-lint` determinism rule rejects any other randomness source here —
-//! so a scenario replays bit-identically.
-
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
+//! vendored `rand::rngs::StdRng` seeded by [`FaultScenario::seed`] (the
+//! vendored `rand` offers no unseeded source), so a scenario replays
+//! bit-identically.
 
 use crate::stats::FaultSummary;
 use rand::rngs::StdRng;
@@ -53,7 +50,6 @@ pub enum Direction {
 }
 
 /// One inter-level protocol message.
-// lint:exhaustive
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Message {
     /// `Demote(b, i, i+1)`: physically ship a replacement victim down
@@ -90,7 +86,6 @@ pub enum Message {
 }
 
 /// Outcome of a synchronous demand-read RPC across one link.
-// lint:exhaustive
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum RpcFate {
     /// Request and reply both arrived.
@@ -352,7 +347,8 @@ impl MessagePlane for ReliablePlane {
         self.acct.sent += 1;
         let s = slot(link, dir);
         if s >= self.queues.len() {
-            // lint:allow(hot-path-alloc) first send on a link grows the queue table once; steady state reuses it
+            // The first send on a link grows the queue table once; steady
+            // state reuses it.
             self.queues.resize_with(s + 1, Vec::new);
         }
         self.queues[s].push(msg);

@@ -29,8 +29,9 @@
 //! refresh), drops late demotes that would break exclusivity, and
 //! [`UniLru::reconcile`] repairs any residual duplicate residency.
 
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
+// Every match over a plane enum names each variant, so a new message
+// kind fails to compile until this module decides what to do with it.
+#![warn(clippy::wildcard_enum_match_arm)]
 
 use crate::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
 use crate::stats::FaultSummary;
@@ -356,11 +357,15 @@ impl<P: MessagePlane> UniLru<P> {
                 self.plane.deliver_into(j, Direction::Down, &mut batch);
                 for k in 0..batch.len() {
                     any = true;
-                    // uniLRU's links carry only demotes; anything else is
-                    // a foreign duplicate — ignore it.
-                    // lint:allow(plane-exhaustive) demotion is the only Down traffic in the uni-LRU hierarchy; foreign kinds are dropped by design
-                    if let Message::Demote { block, mru, owner } = batch.as_slice()[k] {
-                        self.apply_demote(j, block, mru, owner, demotions);
+                    match batch.as_slice()[k] {
+                        Message::Demote { block, mru, owner } => {
+                            self.apply_demote(j, block, mru, owner, demotions);
+                        }
+                        // uniLRU's links carry only demotes; anything else
+                        // is a foreign duplicate — ignore it.
+                        Message::CacheRequest { .. }
+                        | Message::EvictNotice { .. }
+                        | Message::Reload { .. } => {}
                     }
                 }
             }
@@ -373,7 +378,6 @@ impl<P: MessagePlane> UniLru<P> {
 
     /// Wipes crashed levels (cold restart) and purges traffic destined
     /// for them.
-    // lint:cold-path crash recovery rebuilds whole caches; allocation is by design
     fn apply_crashes(&mut self) {
         let mut crashes = std::mem::take(&mut self.crash_buf);
         self.plane.take_crashes_into(&mut crashes);
@@ -508,7 +512,7 @@ impl<P: MessagePlane> MultiLevelPolicy for UniLru<P> {
                     self.obs.on_fault(i + 1, block.raw());
                     continue;
                 }
-                fate => {
+                RpcFate::Delivered | RpcFate::ReplyLost => {
                     if self.shared[i].remove(&block) {
                         if i == 0 {
                             if let Some(owner) = self.demoted_by.remove(block) {

@@ -12,7 +12,7 @@
 //! rank moves from one side of the boundary to the other.
 
 use crate::{MeasureKind, SegmentReport, INFINITE};
-use std::collections::HashMap;
+use fxhash::FxHashMap;
 use ulc_cache::{
     lru_stack_distances, next_use_times, Fenwick, KeyedList, LazyMinTree, RecencyList,
 };
@@ -59,7 +59,7 @@ impl Boundaries {
 
 /// Densely renumbers the blocks of a trace for fast array indexing.
 fn densify(trace: &Trace) -> (Vec<u32>, usize) {
-    let mut ids: HashMap<u64, u32> = HashMap::new();
+    let mut ids: FxHashMap<u64, u32> = FxHashMap::default();
     let mut out = Vec::with_capacity(trace.len());
     for r in trace {
         let next_id = ids.len() as u32;
@@ -592,7 +592,7 @@ pub mod reference {
         let mut lru: Vec<u32> = Vec::new();
         let mut lld = vec![INFINITE; d];
         let mut keyed: Vec<(u64, u64)> = vec![(0, 0); d]; // (value, seq) for ND/NLD
-        let mut prev_rank: HashMap<u32, usize> = HashMap::new();
+        let mut prev_rank: FxHashMap<u32, usize> = FxHashMap::default();
 
         let order_now = |lru: &Vec<u32>, lld: &Vec<u64>, keyed: &Vec<(u64, u64)>| -> Vec<u32> {
             let mut entries: Vec<((u64, u64), u32)> = lru
@@ -612,7 +612,7 @@ pub mod reference {
         };
 
         let count_crossings =
-            |order: &[u32], prev_rank: &mut HashMap<u32, usize>, report: &mut SegmentReport| {
+            |order: &[u32], prev_rank: &mut FxHashMap<u32, usize>, report: &mut SegmentReport| {
                 for (rank, &b) in order.iter().enumerate() {
                     if let Some(&old) = prev_rank.get(&b) {
                         if old != rank {

@@ -31,6 +31,16 @@
 //! assert!(lld_r.mean_movement_ratio() < r.mean_movement_ratio());
 //! ```
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 mod analysis;
 mod histogram;
 mod measure;

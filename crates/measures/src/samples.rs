@@ -50,7 +50,7 @@ pub fn trace_measures(trace: &Trace) -> Vec<MeasureSample> {
     let recencies = lru_stack_distances(&blocks);
     let nld = ulc_cache::next_locality_distances(&blocks);
     let next = next_use_times(&blocks);
-    let mut last_lld: std::collections::HashMap<u64, u64> = Default::default();
+    let mut last_lld: fxhash::FxHashMap<u64, u64> = Default::default();
     let mut samples = Vec::with_capacity(blocks.len());
     for (i, &b) in blocks.iter().enumerate() {
         let recency = recencies[i].map_or(INFINITE, |r| r as u64);

@@ -32,6 +32,16 @@
 //! `sample_window`, `span_end` are hot roots) to keep it that way. See
 //! DESIGN.md §5h and §5j.
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub mod check;
 pub mod event;
 pub mod handle;

@@ -6,9 +6,9 @@
 //! [`RingLog`] for the event stream, one [`MetricsRegistry`] for exact
 //! whole-run tallies, and optionally one [`TimelineSampler`] mirroring
 //! every tally into the window of the current tick (DESIGN.md §5j).
-//! Construction allocates once; recording never does — the lint
-//! `hot-path-alloc` rule walks `record_event`, `record_rpc`,
-//! `sample_window` and `span_end` as roots to keep it that way.
+//! Construction allocates once; recording never does — the alloc gate
+//! (`crates/bench/tests/alloc_gate.rs`) replays settled engines with a
+//! recorder attached and requires zero allocations.
 //!
 //! Each access is one causal *span* (see [`crate::span`]): RPC rounds,
 //! demotion batches and the modeled span cost batch up inside the open

@@ -27,12 +27,10 @@
 //! vector load.
 //!
 //! Iteration over a [`BlockMap`] visits direct entries in raw-id order,
-//! then fallback entries in fast-hash order; callers must only iterate
-//! where order is behaviourally irrelevant (the same rule the workspace
-//! lint enforces for hash maps).
-
-// Per-reference hot path: std `HashMap`/`HashSet` are disallowed (clippy.toml).
-#![warn(clippy::disallowed_types)]
+//! then fallback entries in fast-hash order. Both orders are the same in
+//! every run (the Fx hasher carries no per-process seed), but they follow
+//! insertion history, so callers iterate only where order is
+//! behaviourally irrelevant.
 
 use crate::{BlockId, Trace};
 use fxhash::FxHashMap;

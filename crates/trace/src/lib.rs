@@ -29,6 +29,16 @@
 //! assert!(stats.unique_blocks <= 10_000);
 //! ```
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 mod block;
 pub mod epoch;
 pub mod intern;

@@ -199,7 +199,7 @@ impl Pattern for FileSetPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use fxhash::{FxHashMap, FxHashSet};
 
     #[test]
     fn footprint_matches_request() {
@@ -234,7 +234,7 @@ mod tests {
     #[test]
     fn popular_files_dominate() {
         let mut p = FileSetPattern::new(1000, 10_000, 1.0, 4);
-        let mut file_reads: HashMap<FileId, usize> = HashMap::new();
+        let mut file_reads: FxHashMap<FileId, usize> = FxHashMap::default();
         let mut prev_file = None;
         for _ in 0..100_000 {
             let b = p.next_block();
@@ -275,24 +275,24 @@ mod tests {
         assert!(churned.unique_blocks() <= 1000);
         // The set of files receiving the most traffic differs between the
         // first and second half: popularity drifted.
-        let halves: Vec<std::collections::HashMap<FileId, usize>> =
+        let halves: Vec<FxHashMap<FileId, usize>> =
             [&churned.records()[..30_000], &churned.records()[30_000..]]
                 .iter()
                 .map(|recs| {
-                    let mut m = std::collections::HashMap::new();
+                    let mut m = FxHashMap::default();
                     for r in recs.iter() {
                         *m.entry(r.block.file()).or_insert(0) += 1;
                     }
                     m
                 })
                 .collect();
-        let top = |m: &std::collections::HashMap<FileId, usize>| {
+        let top = |m: &FxHashMap<FileId, usize>| {
             let mut v: Vec<_> = m.iter().map(|(f, &c)| (c, *f)).collect();
             v.sort_unstable_by(|a, b| b.cmp(a));
             v.into_iter()
                 .take(10)
                 .map(|(_, f)| f)
-                .collect::<std::collections::HashSet<_>>()
+                .collect::<FxHashSet<_>>()
         };
         let overlap = top(&halves[0]).intersection(&top(&halves[1])).count();
         assert!(
@@ -304,7 +304,7 @@ mod tests {
     #[test]
     fn recency_bias_shortens_inter_read_gaps() {
         let gap_stats = |p: &mut FileSetPattern| {
-            let mut last_seen: HashMap<FileId, usize> = HashMap::new();
+            let mut last_seen: FxHashMap<FileId, usize> = FxHashMap::default();
             let mut short = 0usize;
             let mut total = 0usize;
             let mut reads = 0usize;

@@ -115,7 +115,7 @@ mod tests {
     fn every_block_has_equal_frequency_over_full_cycles() {
         let mut p = LoopingPattern::with_scopes(vec![3, 5]);
         let t = p.generate(8 * 10);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = fxhash::FxHashMap::default();
         for r in &t {
             *counts.entry(r.block).or_insert(0usize) += 1;
         }

@@ -85,7 +85,7 @@ impl Pattern for TemporalPattern {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use fxhash::FxHashMap;
 
     /// Measures the LRU stack distance of every re-reference in `blocks`.
     fn stack_distances(blocks: &[u64]) -> Vec<usize> {
@@ -121,7 +121,7 @@ mod tests {
     #[test]
     fn touches_a_broad_set_of_blocks_eventually() {
         let t = TemporalPattern::new(100, 0.98, 2).generate(50_000);
-        let mut counts: HashMap<u64, usize> = HashMap::new();
+        let mut counts: FxHashMap<u64, usize> = FxHashMap::default();
         for r in &t {
             *counts.entry(r.block.raw()).or_insert(0) += 1;
         }

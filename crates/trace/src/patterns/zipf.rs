@@ -107,7 +107,7 @@ mod tests {
     fn scrambled_preserves_footprint_and_skew() {
         let mut p = ZipfPattern::new(1000, 1.0, 5).scrambled(6);
         let t = p.generate(50_000);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = fxhash::FxHashMap::default();
         for r in &t {
             assert!(r.block.raw() < 1000);
             *counts.entry(r.block).or_insert(0usize) += 1;

@@ -2,7 +2,6 @@
 
 use crate::{BlockId, ClientId};
 use serde::{Deserialize, Serialize};
-use std::collections::HashSet;
 use std::fmt;
 
 /// One block reference in a trace: client `client` requests `block`.
@@ -139,7 +138,7 @@ impl Trace {
         self.records
             .iter()
             .map(|r| r.block)
-            .collect::<HashSet<_>>()
+            .collect::<fxhash::FxHashSet<_>>()
             .len()
     }
 

@@ -1,7 +1,7 @@
 //! Descriptive statistics over traces.
 
 use crate::Trace;
-use std::collections::HashMap;
+use fxhash::FxHashMap;
 
 /// Summary statistics of a [`Trace`].
 ///
@@ -37,13 +37,12 @@ pub struct TraceStats {
 impl TraceStats {
     /// Computes statistics in a single pass over the trace.
     pub fn compute(trace: &Trace) -> Self {
-        let mut counts: HashMap<_, usize> = HashMap::new();
+        let mut counts: FxHashMap<_, usize> = FxHashMap::default();
         for r in trace {
             *counts.entry(r.block).or_insert(0) += 1;
         }
         let references = trace.len();
         let unique_blocks = counts.len();
-        // lint:allow(determinism) max over the multiset of counts is order-independent
         let max_block_refs = counts.values().copied().max().unwrap_or(0);
         let mean_block_refs = if unique_blocks == 0 {
             0.0

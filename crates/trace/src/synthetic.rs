@@ -268,6 +268,7 @@ pub fn db2_multi(refs: usize, footprint_blocks: u64) -> Trace {
 mod tests {
     use super::*;
     use crate::ClientId;
+    use fxhash::{FxHashMap, FxHashSet};
 
     #[test]
     fn small_suite_has_six_named_traces() {
@@ -325,8 +326,7 @@ mod tests {
         let t = httpd_multi(50_000);
         assert_eq!(t.num_clients(), 7);
         // Data sharing: some block is touched by more than one client.
-        use std::collections::HashMap;
-        let mut owners: HashMap<_, std::collections::HashSet<ClientId>> = HashMap::new();
+        let mut owners: FxHashMap<_, FxHashSet<ClientId>> = FxHashMap::default();
         for r in &t {
             owners.entry(r.block).or_default().insert(r.client);
         }
@@ -340,8 +340,7 @@ mod tests {
     fn openmail_clients_do_not_share() {
         let t = openmail(30_000, 60_000);
         assert_eq!(t.num_clients(), 6);
-        use std::collections::HashMap;
-        let mut owners: HashMap<_, std::collections::HashSet<ClientId>> = HashMap::new();
+        let mut owners: FxHashMap<_, FxHashSet<ClientId>> = FxHashMap::default();
         for r in &t {
             owners.entry(r.block).or_default().insert(r.client);
         }

@@ -27,6 +27,16 @@
 //! assert!(t_ave < CostModel::paper_three_level().miss_time_ms);
 //! ```
 
+#![warn(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    clippy::unwrap_used,
+    clippy::panic,
+    clippy::todo,
+    clippy::unimplemented,
+    clippy::unreachable
+)]
+
 pub use ulc_cache as cache;
 pub use ulc_core as core;
 pub use ulc_hierarchy as hierarchy;
