@@ -40,8 +40,9 @@
 //! repair. A server crash-and-cold-restart marks every client dirty so
 //! each rebuilds its status table on its next access.
 
-// Every match over a plane enum names each variant, so a new message
-// kind fails to compile until this module decides what to do with it.
+// No wildcard arm over an enum: every match names each variant, so a new
+// `Message` or `RpcFate` variant fails to compile until this module
+// decides what to do with it.
 #![warn(clippy::wildcard_enum_match_arm)]
 
 use crate::scratch::AccessScratch;

@@ -18,8 +18,9 @@
 //! fetch (the block is re-read from disk on its next reference), and a
 //! duplicated order degrades to a refresh of the pending entry.
 
-// Every match over a plane enum names each variant, so a new message
-// kind fails to compile until this module decides what to do with it.
+// No wildcard arm over an enum: every match names each variant, so a new
+// `Message` or `RpcFate` variant fails to compile until this module
+// decides what to do with it.
 #![warn(clippy::wildcard_enum_match_arm)]
 
 use crate::plane::{DeliveryBatch, Direction, Message, MessagePlane, ReliablePlane, RpcFate};
