@@ -80,18 +80,6 @@ impl<K: Eq + Hash + Clone> LruStack<K> {
     pub fn new() -> Self {
         LruStack::with_locator(FxHashMap::default())
     }
-
-    /// Creates an empty stack that holds up to `capacity` keys without
-    /// allocating again (DESIGN.md §5f). The table gets room for twice
-    /// that many: a hash table kept near full by insert/remove churn grows
-    /// to clear its tombstones, while one at most half full rehashes them
-    /// in place.
-    pub fn with_capacity(capacity: usize) -> Self {
-        LruStack {
-            list: LinkedSlab::with_capacity(capacity),
-            map: FxHashMap::with_capacity_and_hasher(2 * capacity, Default::default()),
-        }
-    }
 }
 
 impl<K: Clone, M: NodeLocator<K>> LruStack<K, M> {

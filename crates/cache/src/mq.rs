@@ -12,7 +12,7 @@
 //! In the Figure 7 evaluation MQ runs at the server below an independent
 //! LRU client, exactly as its authors intended.
 
-use crate::{CacheEvent, LruStack};
+use crate::{CacheEvent, LinkedSlab, NodeHandle};
 use fxhash::FxHashMap;
 use std::hash::Hash;
 
@@ -46,6 +46,16 @@ struct MqMeta {
     queue: usize,
     frequency: u64,
     expire_at: u64,
+    /// The block's node in `queues[queue]`.
+    node: NodeHandle,
+}
+
+/// A block in the ghost queue: its node there and the reference count it
+/// resumes with if it returns.
+#[derive(Clone, Copy, Debug)]
+struct Ghost {
+    node: NodeHandle,
+    frequency: u64,
 }
 
 /// A capacity-bounded Multi-Queue cache.
@@ -63,10 +73,13 @@ struct MqMeta {
 /// ```
 #[derive(Clone, Debug)]
 pub struct MultiQueue<K: Eq + Hash + Clone> {
-    queues: Vec<LruStack<K>>,
+    /// One recency list per queue, front = most recent. A cached block
+    /// sits in exactly one, and `meta` finds its node.
+    queues: Vec<LinkedSlab<K>>,
     meta: FxHashMap<K, MqMeta>,
-    ghost: LruStack<K>,
-    ghost_freq: FxHashMap<K, u64>,
+    /// `Qout`, front = most recently evicted; `ghosts` finds its nodes.
+    ghost: LinkedSlab<K>,
+    ghosts: FxHashMap<K, Ghost>,
     capacity: usize,
     config: MqConfig,
     now: u64,
@@ -84,18 +97,20 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
         assert!(config.num_queues > 0, "MQ needs at least one queue");
         assert!(config.life_time > 0, "MQ lifeTime must be positive");
         // Sized once for the worst case, so blocks moving between queues
-        // never grow a table mid-run (DESIGN.md §5f): any queue may hold
-        // every cached block, and the ghost queue holds one entry over its
-        // bound between a touch and its trim. The maps get the same 2×
-        // headroom as `LruStack::with_capacity`.
+        // never grow a list or table mid-run (DESIGN.md §5f): any queue
+        // may hold every cached block, and the ghost queue holds one entry
+        // over its bound between an eviction and its trim. The tables get
+        // room for twice their entries: a hash table kept near full by
+        // insert/remove churn grows to clear its tombstones, while one at
+        // most half full rehashes them in place.
         let ghost_capacity = config.ghost_capacity + 1;
         MultiQueue {
             queues: (0..config.num_queues)
-                .map(|_| LruStack::with_capacity(capacity))
+                .map(|_| LinkedSlab::with_capacity(capacity))
                 .collect(),
             meta: FxHashMap::with_capacity_and_hasher(2 * capacity, Default::default()),
-            ghost: LruStack::with_capacity(ghost_capacity),
-            ghost_freq: FxHashMap::with_capacity_and_hasher(2 * ghost_capacity, Default::default()),
+            ghost: LinkedSlab::with_capacity(ghost_capacity),
+            ghosts: FxHashMap::with_capacity_and_hasher(2 * ghost_capacity, Default::default()),
             capacity,
             config,
             now: 0,
@@ -138,35 +153,43 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
     /// to the next lower queue.
     fn adjust(&mut self) {
         for q in (1..self.config.num_queues).rev() {
-            let Some(head) = self.queues[q].bottom().cloned() else {
+            let Some(head) = self.queues[q].back() else {
                 continue;
             };
-            let expired = self.meta.get(&head).is_some_and(|m| m.expire_at < self.now);
-            if expired {
-                self.queues[q].remove(&head);
-                self.queues[q - 1].touch(head.clone());
-                let m = self.meta.get_mut(&head).expect("head has metadata");
+            let key = self.queues[q].get(head).expect("back node is live");
+            let m = self.meta.get_mut(key).expect("queued blocks have metadata");
+            if m.expire_at < self.now {
+                let key = self.queues[q].remove(head).expect("back node is live");
+                m.node = self.queues[q - 1].push_front(key);
                 m.queue = q - 1;
                 m.expire_at = self.now + self.config.life_time;
             }
         }
     }
 
-    fn remember_ghost(&mut self, key: K, frequency: u64) {
-        self.ghost.touch(key.clone());
-        self.ghost_freq.insert(key, frequency);
+    /// Evicts the bottom block of the lowest non-empty queue into `Qout`.
+    fn evict(&mut self) -> Option<K> {
+        let (q, node) = self
+            .queues
+            .iter()
+            .enumerate()
+            .find_map(|(q, list)| list.back().map(|node| (q, node)))?;
+        let victim = self.queues[q].remove(node).expect("back node is live");
+        let frequency = self
+            .meta
+            .remove(&victim)
+            .expect("victim has metadata")
+            .frequency;
+        // A cached block is never also a ghost: a returning ghost leaves
+        // `Qout` when it is cached again.
+        let node = self.ghost.push_front(victim.clone());
+        self.ghosts
+            .insert(victim.clone(), Ghost { node, frequency });
         while self.ghost.len() > self.config.ghost_capacity {
-            if let Some(old) = self.ghost.pop_bottom() {
-                self.ghost_freq.remove(&old);
+            if let Some(old) = self.ghost.back().and_then(|h| self.ghost.remove(h)) {
+                self.ghosts.remove(&old);
             }
         }
-    }
-
-    fn evict(&mut self) -> Option<K> {
-        let victim = self.queues.iter().find_map(|q| q.bottom().cloned())?;
-        let meta = self.meta.remove(&victim).expect("victim has metadata");
-        self.queues[meta.queue].remove(&victim);
-        self.remember_ghost(victim.clone(), meta.frequency);
         Some(victim)
     }
 
@@ -182,12 +205,13 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
             m.frequency += 1;
             m.expire_at = self.now + self.config.life_time;
             let new_q = queue_for(m.frequency);
-            let old_q = m.queue;
-            m.queue = new_q;
-            if new_q != old_q {
-                self.queues[old_q].remove(&key);
+            if new_q == m.queue {
+                self.queues[new_q].move_to_front(m.node);
+            } else {
+                self.queues[m.queue].remove(m.node);
+                m.node = self.queues[new_q].push_front(key);
+                m.queue = new_q;
             }
-            self.queues[new_q].touch(key);
             CacheEvent::Hit
         } else {
             let evicted = if self.meta.len() == self.capacity {
@@ -196,17 +220,23 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
                 None
             };
             // A returning ghost resumes its remembered count.
-            let remembered = self.ghost_freq.remove(&key).unwrap_or(0);
-            self.ghost.remove(&key);
+            let remembered = match self.ghosts.remove(&key) {
+                Some(g) => {
+                    self.ghost.remove(g.node);
+                    g.frequency
+                }
+                None => 0,
+            };
             let frequency = remembered + 1;
             let queue = self.queue_for(frequency);
-            self.queues[queue].touch(key.clone());
+            let node = self.queues[queue].push_front(key.clone());
             self.meta.insert(
                 key,
                 MqMeta {
                     queue,
                     frequency,
                     expire_at: self.now + self.config.life_time,
+                    node,
                 },
             );
             CacheEvent::Miss { evicted }
@@ -221,7 +251,7 @@ impl<K: Eq + Hash + Clone> MultiQueue<K> {
     pub fn remove(&mut self, key: &K) -> bool {
         match self.meta.remove(key) {
             Some(m) => {
-                self.queues[m.queue].remove(key);
+                self.queues[m.queue].remove(m.node);
                 true
             }
             None => false,

@@ -24,30 +24,26 @@ mod common;
 
 const GOLDEN: &str = include_str!("golden/sim_stats.txt");
 
-/// Replays one cell through the three drivers, each on a fresh engine
-/// from `make`, requires them to agree, and returns the cell's line.
-fn cell<P: MultiLevelPolicy>(name: &str, trace: &Trace, make: impl Fn() -> P) -> String {
-    let warmup = trace.warmup_len();
-    let stats = simulate(&mut make(), trace, warmup);
-    let by_value = common::simulate_by_value(&mut make(), trace, warmup);
-    let pooled = common::simulate_pooled_dirty(&mut make(), trace, warmup);
-    assert_eq!(
-        by_value, stats,
-        "{name}: by-value access diverged from simulate"
-    );
-    assert_eq!(
-        pooled, stats,
-        "{name}: dirty pooled access_into diverged from simulate"
-    );
-    format!("{name}: {stats:?}")
-}
-
 /// Collects each cell's line, in golden-file order.
 struct Lines(Vec<String>);
 
 impl grid::Cells for Lines {
+    /// Replays one cell through the three drivers, each on a fresh engine
+    /// from `make`, requires them to agree, and records the cell's line.
     fn cell<P: MultiLevelPolicy>(&mut self, name: &str, trace: &Trace, make: impl Fn() -> P) {
-        self.0.push(cell(name, trace, make));
+        let warmup = trace.warmup_len();
+        let stats = simulate(&mut make(), trace, warmup);
+        let by_value = common::simulate_by_value(&mut make(), trace, warmup);
+        let pooled = common::simulate_pooled_dirty(&mut make(), trace, warmup);
+        assert_eq!(
+            by_value, stats,
+            "{name}: by-value access diverged from simulate"
+        );
+        assert_eq!(
+            pooled, stats,
+            "{name}: dirty pooled access_into diverged from simulate"
+        );
+        self.0.push(format!("{name}: {stats:?}"));
     }
 }
 
