@@ -28,7 +28,14 @@ cargo clippy --workspace --all-targets --all-features -- -D warnings
 # the next scripts/mutants.sh run. Only that script, run by hand because
 # it rebuilds once per mutant, proves each one is caught.
 for p in scripts/mutants/*.patch; do git apply --check "$p"; done
-cargo test --features debug_invariants -q
+
+# The root package's suites (tests/invariants.rs and the paper-goal and
+# protocol tests) with every structure self-validating. `-p ulc` keeps
+# this step to the root package now that `default-members` spans the
+# crates: their own suites run under `debug_invariants` below where it
+# matters (golden grid, chaos), and the figure tests under it take over
+# ten minutes.
+cargo test -p ulc --features debug_invariants -q
 
 # Golden SimStats grid (crates/core/tests/golden/sim_stats.txt): every
 # engine × configuration × smoke workload, including the crashy
