@@ -27,10 +27,9 @@
 //!   the whole-run registry, and [`check::replay_residency`] re-derives
 //!   single-residency placement from the event log alone.
 //!
-//! Everything is allocation-free after construction; the workspace lint
-//! walks the recording path (`record_event`, `record_rpc`,
-//! `sample_window`, `span_end` are hot roots) to keep it that way. See
-//! DESIGN.md §5h and §5j.
+//! Everything is allocation-free after construction; the alloc gate
+//! (`crates/bench/tests/alloc_gate.rs`) replays settled engines with a
+//! recorder attached to keep it that way. See DESIGN.md §5h and §5j.
 
 #![warn(
     clippy::disallowed_types,
