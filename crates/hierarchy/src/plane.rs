@@ -327,6 +327,15 @@ impl ReliablePlane {
     pub fn new() -> Self {
         ReliablePlane::default()
     }
+
+    /// Grows the queue table to hold slot `s`. The first send on a link
+    /// grows it once; steady state never comes here, so this stays out of
+    /// the inlined [`MessagePlane::send`].
+    #[cold]
+    #[inline(never)]
+    fn grow_to(&mut self, s: usize) {
+        self.queues.resize_with(s + 1, Vec::new);
+    }
 }
 
 impl MessagePlane for ReliablePlane {
@@ -343,13 +352,12 @@ impl MessagePlane for ReliablePlane {
         out.clear();
     }
 
+    #[inline]
     fn send(&mut self, link: usize, dir: Direction, msg: Message) {
         self.acct.sent += 1;
         let s = slot(link, dir);
         if s >= self.queues.len() {
-            // The first send on a link grows the queue table once; steady
-            // state reuses it.
-            self.queues.resize_with(s + 1, Vec::new);
+            self.grow_to(s);
         }
         self.queues[s].push(msg);
     }

@@ -72,6 +72,36 @@ struct AdaptiveState {
     accesses: u64,
 }
 
+/// The bookkeeping behind [`UniLruVariant::Adaptive`], its only reader:
+/// the other variants carry none, so their demotions, server hits,
+/// evictions, crashes and reconciles never touch a demoter row.
+#[derive(Clone, Debug)]
+struct Adaptive {
+    /// Which client last demoted each block resident in `shared[0]`.
+    demoted_by: BlockMap<u32>,
+    /// One switch per client.
+    clients: Vec<AdaptiveState>,
+    /// References per client between re-evaluations.
+    epoch_len: u64,
+}
+
+impl Adaptive {
+    /// Every client starts in MRU mode, with an empty demoter table.
+    fn new(clients: usize) -> Self {
+        Adaptive {
+            demoted_by: BlockMap::new(),
+            clients: vec![
+                AdaptiveState {
+                    mru_mode: true,
+                    ..AdaptiveState::default()
+                };
+                clients
+            ],
+            epoch_len: 5_000,
+        }
+    }
+}
+
 /// The unified LRU protocol, generic over the transport its demotion and
 /// retrieval traffic crosses (default: the perfect [`ReliablePlane`]).
 #[derive(Clone, Debug)]
@@ -79,11 +109,8 @@ pub struct UniLru<P: MessagePlane = ReliablePlane> {
     clients: Vec<LruCache<BlockId, BlockMap<NodeHandle>>>,
     shared: Vec<LruCache<BlockId, BlockMap<NodeHandle>>>,
     variant: UniLruVariant,
-    /// Which client last demoted each block resident in `shared[0]`
-    /// (adaptive bookkeeping).
-    demoted_by: BlockMap<u32>,
-    adaptive: Vec<AdaptiveState>,
-    epoch_len: u64,
+    /// `Some` exactly under [`UniLruVariant::Adaptive`].
+    adaptive: Option<Adaptive>,
     plane: P,
     /// Protocol-side recovery counters (the plane keeps the transport
     /// counters itself).
@@ -129,20 +156,13 @@ impl UniLru {
             !client_capacities.is_empty(),
             "at least one client is required"
         );
-        let n = client_capacities.len();
+        let adaptive =
+            (variant == UniLruVariant::Adaptive).then(|| Adaptive::new(client_capacities.len()));
         UniLru {
             clients: client_capacities.into_iter().map(new_level).collect(),
             shared: shared_capacities.into_iter().map(new_level).collect(),
             variant,
-            demoted_by: BlockMap::new(),
-            adaptive: vec![
-                AdaptiveState {
-                    mru_mode: true,
-                    ..AdaptiveState::default()
-                };
-                n
-            ],
-            epoch_len: 5_000,
+            adaptive,
             plane: ReliablePlane::new(),
             recovery: FaultSummary::default(),
             batch: DeliveryBatch::new(),
@@ -162,9 +182,7 @@ impl<P: MessagePlane> UniLru<P> {
             clients: self.clients,
             shared: self.shared,
             variant: self.variant,
-            demoted_by: self.demoted_by,
             adaptive: self.adaptive,
-            epoch_len: self.epoch_len,
             plane,
             recovery: self.recovery,
             batch: self.batch,
@@ -184,8 +202,9 @@ impl<P: MessagePlane> UniLru<P> {
     /// capacity bounds, single-residency across the shared levels (a
     /// block is demoted *into* exactly one place), full exclusivity for
     /// single-client hierarchies (a promoted block has left every lower
-    /// level), and adaptive bookkeeping that tracks exactly the blocks
-    /// resident in the first shared level.
+    /// level), and adaptive bookkeeping that exists exactly under
+    /// [`UniLruVariant::Adaptive`] and tracks only blocks resident in the
+    /// first shared level.
     ///
     /// Two *different* clients may both privately cache a block — each
     /// read it through its own miss path — so cross-client exclusivity is
@@ -216,7 +235,16 @@ impl<P: MessagePlane> UniLru<P> {
                 }
             }
         }
-        for (b, &owner) in self.demoted_by.iter() {
+        assert_eq!(
+            self.adaptive.is_some(),
+            self.variant == UniLruVariant::Adaptive,
+            "adaptive state must exist exactly under the Adaptive variant"
+        );
+        let Some(a) = &self.adaptive else {
+            return;
+        };
+        assert_eq!(a.clients.len(), self.clients.len(), "one switch per client");
+        for (b, &owner) in a.demoted_by.iter() {
             assert!(
                 (owner as usize) < self.clients.len(),
                 "demoted_by owner {owner} out of range"
@@ -267,10 +295,9 @@ impl<P: MessagePlane> UniLru<P> {
 
     /// Whether client `c` currently inserts demoted blocks at the MRU end.
     fn mru_mode(&self, c: usize) -> bool {
-        match self.variant {
-            UniLruVariant::MruInsert => true,
-            UniLruVariant::LruInsert => false,
-            UniLruVariant::Adaptive => self.adaptive[c].mru_mode,
+        match &self.adaptive {
+            Some(a) => a.clients[c].mru_mode,
+            None => self.variant == UniLruVariant::MruInsert,
         }
     }
 
@@ -300,7 +327,9 @@ impl<P: MessagePlane> UniLru<P> {
             if mru {
                 demotions[0] += 1;
                 self.obs.on_demote(0, block.raw());
-                self.demoted_by.insert(block, owner);
+                if let Some(a) = &mut self.adaptive {
+                    a.demoted_by.insert(block, owner);
+                }
                 self.shared[0].insert_mru(block)
             } else {
                 let evicted = self.shared[0].insert_lru(block);
@@ -308,7 +337,9 @@ impl<P: MessagePlane> UniLru<P> {
                     // The block actually entered the server.
                     demotions[0] += 1;
                     self.obs.on_demote(0, block.raw());
-                    self.demoted_by.insert(block, owner);
+                    if let Some(a) = &mut self.adaptive {
+                        a.demoted_by.insert(block, owner);
+                    }
                 }
                 evicted
             }
@@ -319,7 +350,9 @@ impl<P: MessagePlane> UniLru<P> {
         };
         if let Some(w) = incoming {
             if j == 0 && w != block {
-                self.demoted_by.remove(w);
+                if let Some(a) = &mut self.adaptive {
+                    a.demoted_by.remove(w);
+                }
             }
             // Cascade down the next boundary with MRU insertion; evicted
             // from the last level means dropped.
@@ -392,7 +425,9 @@ impl<P: MessagePlane> UniLru<P> {
                 let s = level - 1;
                 self.shared[s] = new_level(self.shared[s].capacity());
                 if s == 0 {
-                    self.demoted_by.clear();
+                    if let Some(a) = &mut self.adaptive {
+                        a.demoted_by.clear();
+                    }
                 }
                 self.plane.purge_link(s);
             }
@@ -436,7 +471,9 @@ impl<P: MessagePlane> UniLru<P> {
                 for s in 0..self.shared.len() {
                     if self.shared[s].remove(&b) {
                         if s == 0 {
-                            self.demoted_by.remove(b);
+                            if let Some(a) = &mut self.adaptive {
+                                a.demoted_by.remove(b);
+                            }
                         }
                         self.recovery.residency_violations_detected += 1;
                         self.recovery.residency_violations_repaired += 1;
@@ -458,12 +495,12 @@ impl<P: MessagePlane> UniLru<P> {
     }
 
     fn maybe_flip_epoch(&mut self, c: usize) {
-        if self.variant != UniLruVariant::Adaptive {
+        let Some(a) = &mut self.adaptive else {
             return;
-        }
-        let st = &mut self.adaptive[c];
+        };
+        let st = &mut a.clients[c];
         st.accesses += 1;
-        if st.accesses.is_multiple_of(self.epoch_len) {
+        if st.accesses.is_multiple_of(a.epoch_len) {
             // Keep MRU insertion only if demoted blocks earn server hits.
             let utility = if st.demotions == 0 {
                 1.0
@@ -516,9 +553,9 @@ impl<P: MessagePlane> MultiLevelPolicy for UniLru<P> {
                 RpcFate::Delivered | RpcFate::ReplyLost => {
                     if self.shared[i].remove(&block) {
                         if i == 0 {
-                            if let Some(owner) = self.demoted_by.remove(block) {
-                                if self.variant == UniLruVariant::Adaptive {
-                                    self.adaptive[owner as usize].demoted_hits += 1;
+                            if let Some(a) = &mut self.adaptive {
+                                if let Some(owner) = a.demoted_by.remove(block) {
+                                    a.clients[owner as usize].demoted_hits += 1;
                                 }
                             }
                         }
@@ -544,8 +581,8 @@ impl<P: MessagePlane> MultiLevelPolicy for UniLru<P> {
         self.obs.on_retrieve(0, block.raw());
         // Install at the client; the client's victim is demoted.
         if let Some(victim) = self.clients[c].insert_mru(block) {
-            if self.variant == UniLruVariant::Adaptive {
-                self.adaptive[c].demotions += 1;
+            if let Some(a) = &mut self.adaptive {
+                a.clients[c].demotions += 1;
             }
             let mru = self.mru_mode(c);
             self.plane.send(
@@ -719,6 +756,33 @@ mod tests {
         let stats = simulate(&mut p, &t, t.warmup_len());
         assert!(stats.hit_rates()[1] > 0.2, "server should earn hits");
         assert!(stats.demotion_rates()[0] > 0.3);
+    }
+
+    #[test]
+    fn only_adaptive_keeps_demoter_rows() {
+        // A loop larger than the client demotes on every reference; only
+        // the variant that reads the demoter table may fill it.
+        let t = synthetic::cs(30_000);
+        for variant in [
+            UniLruVariant::MruInsert,
+            UniLruVariant::LruInsert,
+            UniLruVariant::Adaptive,
+        ] {
+            let mut p = UniLru::multi_client(vec![1000], vec![1000, 1000], variant);
+            let stats = simulate(&mut p, &t, t.warmup_len());
+            assert!(stats.demotions_by_boundary[0] > 0, "{variant:?}");
+            p.check_invariants();
+            match &p.adaptive {
+                None => assert_ne!(variant, UniLruVariant::Adaptive),
+                Some(a) => {
+                    assert_eq!(variant, UniLruVariant::Adaptive);
+                    assert!(!a.demoted_by.is_empty(), "no demoter recorded");
+                    for (b, _) in a.demoted_by.iter() {
+                        assert!(p.shared[0].contains(&b), "{b:?} left shared[0]");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -33,9 +33,15 @@ for p in scripts/mutants/*.patch; do git apply --check "$p"; done
 # protocol tests) with every structure self-validating. `-p ulc` keeps
 # this step to the root package now that `default-members` spans the
 # crates: their own suites run under `debug_invariants` below where it
-# matters (golden grid, chaos), and the figure tests under it take over
-# ten minutes.
+# matters (hierarchy, golden grid, chaos), and the figure tests under it
+# take over ten minutes.
 cargo test -p ulc --features debug_invariants -q
+
+# The hierarchy crate's unit tests and proptests with every engine
+# self-validating on each access: uniLRU's structural checks, including
+# that its adaptive bookkeeping exists exactly under the Adaptive variant,
+# and the message planes' drained-link claims (about 11 s warm).
+cargo test -q -p ulc-hierarchy --features debug_invariants
 
 # Golden SimStats grid (crates/core/tests/golden/sim_stats.txt): every
 # engine × configuration × smoke workload, including the crashy
