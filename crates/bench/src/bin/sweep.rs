@@ -2,8 +2,7 @@
 //! prints a machine-readable timing summary.
 //!
 //! Usage: `sweep [--scale=smoke|default|full] [--json=<path>]
-//! [--faults=<scenario>] [--bench-json=<path>]
-//! [--bench-baseline=<path>] [--bench-only]`.
+//! [--faults=<scenario>]`.
 //!
 //! The figure renders go to stdout in a fixed order; the
 //! [`ulc_bench::sweep::SweepSummary`] (threads, wall/cpu milliseconds,
@@ -16,31 +15,15 @@
 //! rate. Without the flag the study runs on `FaultScenario::mild(1789)`,
 //! the seeded scenario the golden regression test pins.
 //!
-//! `--bench-json=<path>` runs the E9 engine-throughput study
-//! ([`ulc_bench::throughput`]) and writes the report (accesses/sec per
-//! protocol × workload × trace size, sharded ULC-multi cells at 2 and 8
-//! threads) to the given path — `BENCH_sim.json` at the repo root by
-//! convention.
-//! `--bench-baseline=<path>` additionally compares the fresh report
-//! against a checked-in baseline and exits non-zero if any
-//! accesses/sec rate regressed by more than 25%, or if a wide sharded
-//! ULC-multi row fails the E11 shard-scaling floor (2x the serial
-//! baseline rate). `--bench-only` skips the figure sweep so CI can gate
-//! throughput quickly.
-//!
-//! When built with the `obs` feature the allocation profile of every
-//! serial row runs with a live recorder attached, so the `alloc_stats`
-//! gate holds the instrumented hot path to the same zero-allocation
-//! contract. Sharded rows profile without one: sharded replay cannot
-//! record. The observability report itself is `obs-tool export`
+//! Engine speed is measured by the replay benchmark
+//! (`crates/bench/src/bin/benchmark/`) and gated by
+//! `scripts/rate_gate.sh`; the observability report is `obs-tool export`
 //! ([`ulc_bench::flight`]).
 
 #![warn(clippy::disallowed_types, clippy::disallowed_methods)]
 
 use ulc_bench::sweep::Sweep;
-use ulc_bench::{
-    ablation, degradation, fig2, fig3, fig6, fig7, maybe_write_json, table1, throughput, Scale,
-};
+use ulc_bench::{ablation, degradation, fig2, fig3, fig6, fig7, maybe_write_json, table1, Scale};
 use ulc_hierarchy::FaultScenario;
 
 /// Parses `--faults=<dsl>`, defaulting to the pinned mild scenario.
@@ -55,78 +38,8 @@ fn fault_scenario_from_args() -> FaultScenario {
     FaultScenario::mild(1789)
 }
 
-/// Returns the value of a `--flag=<value>` argument, if present.
-fn arg_value(prefix: &str) -> Option<String> {
-    std::env::args().find_map(|a| a.strip_prefix(prefix).map(str::to_string))
-}
-
-/// Maximum tolerated drop in interned accesses/sec vs the checked-in
-/// baseline before the gate fails.
-const MAX_BENCH_REGRESSION: f64 = 0.25;
-
-/// Minimum speedup a wide sharded row must reach over the *serial*
-/// baseline rate of its cell (the E11 acceptance floor).
-const MIN_SHARD_SPEEDUP: f64 = 2.0;
-
-/// Runs the E9 throughput study, writes the report, and applies the
-/// baseline gate. Returns `false` if the gate failed.
-fn run_bench(scale: Scale, json: Option<&str>, baseline: Option<&str>) -> bool {
-    let report = throughput::run(scale);
-    println!("{}", throughput::render(&report));
-    if let Some(path) = json {
-        let file =
-            std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}"));
-        serde_json::to_writer_pretty(file, &report).expect("report serialises");
-        eprintln!("wrote {path}");
-    }
-    let mut ok = true;
-    if ulc_bench::alloc_stats::enabled() {
-        let alloc_failures = throughput::check_alloc_gate(&report);
-        if alloc_failures.is_empty() {
-            eprintln!("alloc gate: ok (steady state allocation-free)");
-        } else {
-            for f in &alloc_failures {
-                eprintln!("alloc gate FAILED: {f}");
-            }
-            ok = false;
-        }
-    }
-    let Some(path) = baseline else { return ok };
-    let text = std::fs::read_to_string(path)
-        .unwrap_or_else(|e| panic!("cannot read baseline {path}: {e}"));
-    let base: throughput::ThroughputReport = serde_json::from_str(&text).expect("baseline parses");
-    let failures = throughput::check_against_baseline(&report, &base, MAX_BENCH_REGRESSION);
-    if failures.is_empty() {
-        eprintln!("bench gate: ok ({} baseline rows)", base.rows.len());
-    } else {
-        for f in &failures {
-            eprintln!("bench gate FAILED: {f}");
-        }
-        ok = false;
-    }
-    let scaling_failures = throughput::check_shard_scaling(&report, &base, MIN_SHARD_SPEEDUP);
-    if scaling_failures.is_empty() {
-        eprintln!("shard-scaling gate: ok (>= {MIN_SHARD_SPEEDUP}x serial baseline)");
-    } else {
-        for f in &scaling_failures {
-            eprintln!("shard-scaling gate FAILED: {f}");
-        }
-        ok = false;
-    }
-    ok
-}
-
 fn main() {
     let scale = Scale::from_args();
-    let bench_json = arg_value("--bench-json=");
-    let bench_baseline = arg_value("--bench-baseline=");
-    let bench_only = std::env::args().any(|a| a == "--bench-only");
-    if bench_only {
-        if !run_bench(scale, bench_json.as_deref(), bench_baseline.as_deref()) {
-            std::process::exit(1);
-        }
-        return;
-    }
     let faults = fault_scenario_from_args();
     let mut sweep: Sweep<String> = Sweep::new();
     sweep.add("table1", move || table1::render(&table1::run(scale)));
@@ -177,9 +90,4 @@ fn main() {
         summary.cpu_ms,
         summary.speedup()
     );
-    if (bench_json.is_some() || bench_baseline.is_some())
-        && !run_bench(scale, bench_json.as_deref(), bench_baseline.as_deref())
-    {
-        std::process::exit(1);
-    }
 }

@@ -6,11 +6,9 @@
 //! [`ablation`] our additional design-choice studies. Each module builds
 //! the workloads, runs the protocols and returns plain data structures;
 //! [`degradation`] adds our fault-injection study (hit rate vs message
-//! drop rate over the `FaultyPlane`); [`throughput`] adds the E9
-//! engine-speed study (accesses/sec per engine, gated in CI against
-//! `BENCH_baseline.json`); [`flight`] is the E12 flight-recorder export,
-//! the harness's one observability report; [`cells`] defines the cells
-//! those two share;
+//! drop rate over the `FaultyPlane`); [`flight`] is the E12
+//! flight-recorder export, the harness's one observability report;
+//! [`cells`] defines the cells it shares with the alloc gate;
 //! the `src/bin` entry points print them in the layout of the paper's
 //! tables and figures. The grid loops inside each module fan their cells
 //! across cores through [`sweep::par_map`], and the `sweep` binary runs
@@ -31,7 +29,6 @@
 )]
 
 pub mod ablation;
-pub mod alloc_stats;
 pub mod cells;
 pub mod degradation;
 pub mod fig2;
@@ -41,7 +38,6 @@ pub mod fig7;
 pub mod flight;
 pub mod sweep;
 pub mod table1;
-pub mod throughput;
 
 use serde::{Deserialize, Serialize};
 

@@ -1,31 +1,36 @@
 //! Direct unit-level check of the zero-allocation steady-state contract
-//! (DESIGN.md §5f), compiled only with the `alloc_stats` feature so the
-//! counting global allocator is installed:
+//! (DESIGN.md §5f). This target installs a counting global allocator
+//! ([`counting`]), so plain `cargo test` runs it:
 //!
 //! ```text
-//! cargo test -p ulc-bench --features alloc_stats --test alloc_gate
+//! cargo test -p ulc-bench --test alloc_gate
 //! ```
 //!
 //! Each engine is warmed until every pooled buffer's high-water mark has
 //! settled, then driven for a measured phase between [`reset`] and
-//! [`snapshot`] — which must count **zero** allocations on this thread.
+//! [`allocs`] — which must count **zero** allocations on this thread.
 //! Every cell of the golden `SimStats` grid is held to it, from the one
-//! catalog `crates/core/tests/golden_stats.rs` replays.
-
-#![cfg(feature = "alloc_stats")]
+//! catalog `crates/core/tests/golden_stats.rs` replays, and so are the
+//! benchmark-sized cells of [`ulc_bench::cells`], serial and sharded.
 
 #[path = "../../core/tests/common/mod.rs"]
 mod common;
+#[path = "alloc_gate/counting.rs"]
+mod counting;
 
-use ulc_bench::alloc_stats::{reset, snapshot};
+use counting::{allocs, reset};
+use ulc_bench::cells;
+use ulc_bench::flight::FLIGHT_RING_CAPACITY;
 use ulc_core::{ShardedReplayer, UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
 use ulc_hierarchy::{
     AccessOutcome, EvictionBased, MultiLevelPolicy, SimStats, UniLru, UniLruVariant,
 };
-#[cfg(feature = "obs")]
 use ulc_obs::Observe;
 use ulc_trace::patterns::{LoopingPattern, Pattern};
 use ulc_trace::{synthetic, Trace};
+
+/// Trace sizes of the benchmark-sized cells.
+const CELL_REFS: [usize; 2] = [120_000, 240_000];
 
 /// Warms `policy` over the whole trace once, then replays the last tenth
 /// with counters armed and returns the allocation count.
@@ -39,9 +44,30 @@ fn steady_allocs<P: MultiLevelPolicy>(mut policy: P, trace: &Trace) -> u64 {
     for r in trace.iter().skip(tail) {
         policy.access_into(r.client, r.block, &mut out);
     }
-    let snap = snapshot();
+    let n = allocs();
     std::hint::black_box(&out);
-    snap.allocs
+    n
+}
+
+/// One pass over `trace` with a recorder attached (a no-op unless the
+/// `obs` feature compiled one in): the first nine tenths warm every
+/// table to its high-water mark, and the allocations of the last tenth
+/// are returned. Attaching allocates once, before the counter is reset.
+fn single_pass_tail_allocs<P: MultiLevelPolicy + Observe>(mut policy: P, trace: &Trace) -> u64 {
+    let levels = policy.num_levels();
+    policy.obs_mut().enable(levels, FLIGHT_RING_CAPACITY);
+    let mut out = AccessOutcome::miss(levels.saturating_sub(1));
+    let split = trace.len() * 9 / 10;
+    for r in trace.iter().take(split) {
+        policy.access_into(r.client, r.block, &mut out);
+    }
+    reset();
+    for r in trace.iter().skip(split) {
+        policy.access_into(r.client, r.block, &mut out);
+    }
+    let n = allocs();
+    std::hint::black_box(&out);
+    n
 }
 
 /// Collects the golden-grid cells whose steady tail allocated.
@@ -114,27 +140,110 @@ fn settled_multi_client_engine_does_not_allocate_per_access() {
     );
 }
 
+/// The benchmark-sized serial cells — ULC, uniLRU and evict-reload on
+/// loop-100k, ULC and uniLRU on zipf-small, ULC-multi on httpd-multi and
+/// db2-multi — replay the last tenth of a single pass allocation-free,
+/// with a recorder attached when `obs` is on.
+#[test]
+fn benchmark_cells_settle_allocation_free_in_one_pass() {
+    let mut failures = Vec::new();
+    let mut check = |name: &str, refs: usize, n: u64| {
+        if n > 0 {
+            failures.push(format!("{name}/{refs}: {n}"));
+        }
+    };
+    for refs in CELL_REFS {
+        let looping = cells::loop_100k(refs);
+        check(
+            "ULC/loop-100k",
+            refs,
+            single_pass_tail_allocs(cells::ulc_loop(), &looping),
+        );
+        check(
+            "uniLRU/loop-100k",
+            refs,
+            single_pass_tail_allocs(cells::unilru_loop(), &looping),
+        );
+        check(
+            "evict-reload/loop-100k",
+            refs,
+            single_pass_tail_allocs(cells::evict_reload_loop(), &looping),
+        );
+        let zipf = synthetic::zipf_small(refs);
+        check(
+            "ULC/zipf-small",
+            refs,
+            single_pass_tail_allocs(cells::ulc_zipf(), &zipf),
+        );
+        check(
+            "uniLRU/zipf-small",
+            refs,
+            single_pass_tail_allocs(cells::unilru_zipf(), &zipf),
+        );
+        let httpd = synthetic::httpd_multi(refs);
+        check(
+            "ULC-multi/httpd-multi",
+            refs,
+            single_pass_tail_allocs(cells::ulc_multi_httpd(), &httpd),
+        );
+        let db2 = cells::db2_multi(refs);
+        check(
+            "ULC-multi/db2-multi",
+            refs,
+            single_pass_tail_allocs(cells::ulc_multi_db2(), &db2),
+        );
+    }
+    assert!(
+        failures.is_empty(),
+        "steady-state allocations: {failures:?}"
+    );
+}
+
 /// The sharded executor's steady phase must be allocation-free on the
 /// orchestrating thread (the one the counting allocator observes): run
 /// buffers are reserved to the epoch length up front, workers only
 /// advance pre-reserved stacks, and the commit walk reuses the pooled
-/// scratch. The warm phase fills every high-water mark; the measured
-/// tail then replays through the same `replay_range` split the
-/// throughput harness uses.
+/// scratch. Both multi-client benchmark cells, at 2 and 8 shards: the
+/// first nine tenths fill every high-water mark, and the last tenth
+/// replays through a second `replay_range` call.
 #[test]
 fn sharded_replay_steady_phase_does_not_allocate() {
-    let trace = synthetic::httpd_multi(40_000);
-    let mut policy = UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048));
-    let mut replayer = ShardedReplayer::new(&trace, 2);
-    let mut stats = SimStats::new(2);
+    let mut failures = Vec::new();
+    for refs in CELL_REFS {
+        let httpd = synthetic::httpd_multi(refs);
+        let db2 = cells::db2_multi(refs);
+        for shards in [2, 8] {
+            for (name, trace, policy) in [
+                ("httpd-multi", &httpd, cells::ulc_multi_httpd()),
+                ("db2-multi", &db2, cells::ulc_multi_db2()),
+            ] {
+                let n = sharded_tail_allocs(policy, trace, shards);
+                if n > 0 {
+                    failures.push(format!("{name}/{refs}@{shards}: {n}"));
+                }
+            }
+        }
+    }
+    assert!(
+        failures.is_empty(),
+        "sharded steady-phase allocations: {failures:?}"
+    );
+}
+
+/// [`single_pass_tail_allocs`] for the sharded executor at `shards`
+/// shards, without a recorder: the first nine tenths and the last tenth
+/// replay through two `replay_range` calls.
+fn sharded_tail_allocs(mut policy: UlcMulti, trace: &Trace, shards: usize) -> u64 {
+    let mut replayer = ShardedReplayer::new(trace, shards);
+    let mut stats = SimStats::new(policy.num_levels());
     let warmup = trace.warmup_len();
-    let split = trace.len() - trace.len() / 10;
-    replayer.replay_range(&mut policy, &trace, 0, split, warmup, &mut stats);
+    let split = trace.len() * 9 / 10;
+    replayer.replay_range(&mut policy, trace, 0, split, warmup, &mut stats);
     reset();
-    replayer.replay_range(&mut policy, &trace, split, trace.len(), warmup, &mut stats);
-    let snap = snapshot();
+    replayer.replay_range(&mut policy, trace, split, trace.len(), warmup, &mut stats);
+    let n = allocs();
     std::hint::black_box(&stats);
-    assert_eq!(snap.allocs, 0, "sharded steady phase allocated");
+    n
 }
 
 /// The §5f contract must hold with a live observability recorder
@@ -144,9 +253,6 @@ fn sharded_replay_steady_phase_does_not_allocate() {
 /// by the same index arithmetic — so recording every event, span cost
 /// and window sample adds zero steady-state allocations. Attaching the
 /// recorder and timeline allocates once, before the measured phase.
-/// (No BENCH_baseline.json re-record is needed for any of this: the
-/// recorder only exists behind the `obs` feature and the baseline-gated
-/// sweep builds with `alloc_stats` alone.)
 #[cfg(feature = "obs")]
 #[test]
 fn settled_engines_do_not_allocate_per_access_while_recording() {
@@ -204,4 +310,15 @@ fn settled_engines_do_not_allocate_per_access_while_recording() {
         0,
         "ULC-multi allocated while recording"
     );
+}
+
+/// The counter sees this thread's allocations, so a zero reading above
+/// means none happened rather than none were counted.
+#[test]
+fn counter_sees_vec_growth() {
+    reset();
+    let before = allocs();
+    let v: Vec<u64> = (0..1000).collect();
+    assert_eq!(v.len(), 1000);
+    assert!(allocs() > before, "Vec growth must be counted");
 }

@@ -1,18 +1,23 @@
-//! Golden snapshots of the harness's two JSON contracts: the
-//! `sweep --bench-json` report (`golden/bench_json_schema.txt`) and the
-//! flight-recorder export of `obs-tool export` (DESIGN.md §5j /
-//! EXPERIMENTS.md E12, `golden/obs_export_schema.txt`), plus the
-//! round-trip contract the `obs-tool verify` gate relies on.
+//! Golden snapshot of the flight-recorder export of `obs-tool export`
+//! (DESIGN.md §5j / EXPERIMENTS.md E12, `golden/obs_export_schema.txt`),
+//! plus the round-trip contract the `obs-tool verify` gate relies on.
+//! The export exists only with the `obs` feature:
 //!
-//! Each document is serialised to a [`serde::Value`], every key path is
+//! ```text
+//! cargo test -p ulc-bench --features obs --test json_schema
+//! ```
+//!
+//! The export is serialised to a [`serde::Value`], every key path is
 //! collected (array elements unioned under a `[]` segment, so optional
 //! per-element keys still register), and the sorted path list must equal
-//! the golden file. Any field added to or removed from a contract shows
+//! the golden file. Any field added to or removed from the contract shows
 //! up as a failure that prints the actual snapshot; a deliberate schema
 //! change is a deliberate edit of the golden file.
 
+#![cfg(feature = "obs")]
+
 use std::collections::BTreeSet;
-use ulc_bench::throughput::{ThroughputReport, ThroughputRow};
+use ulc_bench::flight::{self, FlightExport};
 
 /// Collects every key path of `v` into `paths`. Objects append their key
 /// names; arrays union all elements under one `[]` segment; leaves
@@ -76,86 +81,39 @@ fn assert_schema_matches<T: serde::Serialize>(value: &T, name: &str, golden: &st
     }
 }
 
-/// A structurally complete report: one row with every column set.
-fn representative_report() -> ThroughputReport {
-    ThroughputReport {
-        scale: "smoke".to_string(),
-        rows: vec![ThroughputRow {
-            protocol: "ULC".to_string(),
-            workload: "loop-100k".to_string(),
-            refs: 1_000,
-            threads: 1,
-            interned_aps: 1.0e6,
-            speedup: 1.0,
-            warmup_allocs_per_access: 0.01,
-            steady_allocs_per_access: 0.0,
-        }],
-    }
+/// A small live export — a real `collect_sized` run, so the snapshot
+/// covers exactly what `obs-tool export` writes. Sized past one wrap
+/// of the tpcc1 loop so the warm-up crossover is `Some` and the
+/// `CrossoverPoint` schema is pinned along with everything else.
+fn representative_export() -> FlightExport {
+    flight::collect_sized(24_000, 1_500)
 }
 
 #[test]
-fn bench_json_schema_matches_golden() {
+fn obs_export_schema_matches_golden() {
     assert_schema_matches(
-        &representative_report(),
-        "bench_json_schema.txt",
-        include_str!("golden/bench_json_schema.txt"),
+        &representative_export(),
+        "obs_export_schema.txt",
+        include_str!("golden/obs_export_schema.txt"),
     );
 }
 
 #[test]
-fn bench_report_survives_a_round_trip_with_identical_schema() {
-    // Deserialising the written JSON and re-serialising must not change
-    // the schema — the gate reads its own output when comparing against
-    // a checked-in baseline.
-    let report = representative_report();
-    let text = serde_json::to_string(&report).expect("serialises");
-    let back: ThroughputReport = serde_json::from_str(&text).expect("deserialises");
+fn export_verifies_after_a_full_json_round_trip() {
+    // The tier-1 contract behind `obs-tool verify`: write → parse →
+    // recompute derived → bit-identical, with every window sum
+    // reconciling against the final registries.
+    let export = representative_export();
+    assert_eq!(flight::verify_export(&export), Vec::<String>::new());
+    let text = serde_json::to_string_pretty(&export).expect("serialises");
+    let back: FlightExport = serde_json::from_str(&text).expect("parses");
     assert_eq!(
-        paths_of(&report),
-        paths_of(&back),
-        "schema changed across a JSON round trip"
+        back, export,
+        "export must survive the round trip bit-exactly"
     );
-}
-
-#[cfg(feature = "obs")]
-mod flight_export {
-    use super::assert_schema_matches;
-    use ulc_bench::flight::{self, FlightExport};
-
-    /// A small live export — a real `collect_sized` run, so the snapshot
-    /// covers exactly what `obs-tool export` writes. Sized past one wrap
-    /// of the tpcc1 loop so the warm-up crossover is `Some` and the
-    /// `CrossoverPoint` schema is pinned along with everything else.
-    fn representative_export() -> FlightExport {
-        flight::collect_sized(24_000, 1_500)
-    }
-
-    #[test]
-    fn obs_export_schema_matches_golden() {
-        assert_schema_matches(
-            &representative_export(),
-            "obs_export_schema.txt",
-            include_str!("golden/obs_export_schema.txt"),
-        );
-    }
-
-    #[test]
-    fn export_verifies_after_a_full_json_round_trip() {
-        // The tier-1 contract behind `obs-tool verify`: write → parse →
-        // recompute derived → bit-identical, with every window sum
-        // reconciling against the final registries.
-        let export = representative_export();
-        assert_eq!(flight::verify_export(&export), Vec::<String>::new());
-        let text = serde_json::to_string_pretty(&export).expect("serialises");
-        let back: FlightExport = serde_json::from_str(&text).expect("parses");
-        assert_eq!(
-            back, export,
-            "export must survive the round trip bit-exactly"
-        );
-        assert_eq!(flight::verify_export(&back), Vec::<String>::new());
-        assert_eq!(flight::derive_report(&back.cells), back.derived);
-        // The chrome conversion of the parsed export is itself valid JSON.
-        let trace = flight::chrome_trace(&back);
-        serde_json::parse(&trace).expect("chrome trace parses");
-    }
+    assert_eq!(flight::verify_export(&back), Vec::<String>::new());
+    assert_eq!(flight::derive_report(&back.cells), back.derived);
+    // The chrome conversion of the parsed export is itself valid JSON.
+    let trace = flight::chrome_trace(&back);
+    serde_json::parse(&trace).expect("chrome trace parses");
 }

@@ -49,9 +49,9 @@ pub fn lru_stack_distances<T: Eq + Hash>(items: &[T]) -> Vec<Option<usize>> {
 /// per-item hash map disappears entirely — the interned id *is* the
 /// [`RecencyList`] id.
 ///
-/// `ids` are dense indices such as those produced by
-/// `ulc_trace::BlockInterner` (any `u32`s work; the list is sized to the
-/// largest id seen).
+/// `ids` are dense indices, for example block ids numbered in
+/// first-seen order (any `u32`s work; the list is sized to the largest
+/// id seen).
 ///
 /// # Examples
 ///
@@ -197,7 +197,7 @@ mod tests {
                 (x >> 40) % 53
             })
             .collect();
-        // First-seen dense interning, as ulc_trace::BlockInterner does it.
+        // First-seen dense numbering.
         let mut seen: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
         let ids: Vec<u32> = t
             .iter()

@@ -20,9 +20,6 @@ pub const NEVER: u64 = u64::MAX;
 /// Runs in O(n) with a single backward scan and a single hash probe per
 /// step (the entry API reads and replaces the previous position in one
 /// lookup; the old `get`-then-`insert` pair hashed every key twice).
-/// Block-id traces should prefer
-/// `ulc_trace::intern::next_use_times_interned`, which routes the scan
-/// through the dense interner and does no per-step hashing at all.
 ///
 /// # Examples
 ///

@@ -342,9 +342,8 @@ impl ShardedReplayer {
     /// Replays the half-open trace range `[start, end)`, folding
     /// measured outcomes (positions `>= warmup`) into `stats`. Epoch
     /// boundaries are semantics-free, so consecutive ranges compose to
-    /// exactly one full replay — the throughput harness uses this to
-    /// split a run into a warm phase and an allocation-gated steady
-    /// phase.
+    /// exactly one full replay — the alloc gate uses this to split a run
+    /// into a warm phase and an allocation-gated steady phase.
     ///
     /// # Panics
     ///

@@ -13,7 +13,7 @@
 //! to the heap once (a cascade deeper than the inline capacity), but the
 //! spill capacity is retained on [`AccessScratch::reset`], so a settled
 //! engine never touches the allocator again — the contract DESIGN.md §5f
-//! specifies and the `alloc_stats` harness in `ulc-bench` enforces.
+//! specifies and `ulc-bench`'s alloc gate enforces.
 //!
 //! The buffers are plain data: reading stale contents is prevented by
 //! [`AccessScratch::reset`], which every `access_into` entry point calls

@@ -19,7 +19,7 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 use ulc_core::{UlcMulti, UlcMultiConfig};
 use ulc_hierarchy::plane::{FaultScenario, FaultyPlane};
-use ulc_hierarchy::{simulate, MultiLevelPolicy, UniLru};
+use ulc_hierarchy::{simulate, MultiLevelPolicy, UniLru, UniLruVariant};
 use ulc_trace::{synthetic, BlockId, ClientId, Trace};
 
 mod common;
@@ -70,6 +70,24 @@ proptest! {
         let stats = simulate(&mut p, &trace, 0);
         prop_assert_eq!(stats.references as usize, trace.len());
         p.check_recoverable_invariants();
+        assert_fully_recovered(&mut p);
+    }
+
+    /// Multi-client adaptive DEMOTE under chaos: the adaptive bookkeeping
+    /// (present, one switch per client, every demoter owner a real
+    /// client) and the bounds hold after every reference, and settle +
+    /// one reconcile round restores the rest.
+    #[test]
+    fn adaptive_uni_lru_recovers_from_any_scenario(
+        sc in scenario(),
+        refs in multi_refs(),
+    ) {
+        let mut p = UniLru::multi_client(vec![20; 3], vec![30, 40], UniLruVariant::Adaptive)
+            .with_plane(FaultyPlane::new(sc));
+        for &(c, b) in &refs {
+            let _ = p.access(ClientId::new(c), BlockId::new(b));
+            p.check_recoverable_invariants();
+        }
         assert_fully_recovered(&mut p);
     }
 

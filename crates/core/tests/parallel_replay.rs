@@ -120,7 +120,7 @@ fn epoch_boundaries_are_semantics_free() {
 
 #[test]
 fn replay_ranges_compose_to_one_full_replay() {
-    // The throughput harness splits a run into a warm phase and an
+    // The alloc gate splits a run into a warm phase and an
     // allocation-gated steady phase via replay_range; the split point
     // must be invisible.
     let (name, trace, clients) = &multi_client_workloads()[0];

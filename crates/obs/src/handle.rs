@@ -15,8 +15,8 @@
 //!   it, hooks record into the pre-allocated ring and registry without
 //!   allocating.
 //!
-//! The [`Observe`] trait is how generic drivers (the throughput
-//! harness, the conservation suites, `DemotionBuffer`) reach the handle
+//! The [`Observe`] trait is how generic drivers (the alloc gate, the
+//! flight export, the conservation suites, `DemotionBuffer`) reach the handle
 //! of a policy they only know as `P: MultiLevelPolicy + Observe`.
 
 use crate::event::EventKind;

@@ -3,8 +3,8 @@
 //! The ring is allocated once at [`RingLog::new`] (cold path) and then
 //! recorded into by overwriting slots in place — the steady-state hot
 //! path performs two index stores per event and never touches the
-//! allocator, which is what lets the `alloc_stats` gate stay at 0.0000
-//! allocations/access with recording enabled.
+//! allocator, which is what lets the alloc gate stay at zero
+//! allocations with recording enabled.
 //!
 //! When the ring wraps, the *oldest* events are overwritten and counted
 //! in [`RingLog::dropped`]. Aggregate truth never depends on the ring —

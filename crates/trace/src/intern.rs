@@ -1,21 +1,10 @@
-//! Dense block-ID interning and flat-table block maps.
+//! Flat-table block maps.
 //!
 //! Every hot loop in the simulation engine keys some table by [`BlockId`].
 //! A `std::collections::HashMap<BlockId, V>` pays a SipHash of the full
 //! 64-bit id on every probe; the engine, however, only ever sees a
-//! bounded universe of blocks — the trace footprint — so the ids can be
-//! *interned* once into dense `u32` indices and every subsequent table
-//! access becomes a vector index.
-//!
-//! * [`BlockInterner`] assigns dense indices in first-seen order. Indices
-//!   are **stable under incremental insertion**: interning a stream
-//!   record-by-record (the online case) yields exactly the indices a
-//!   whole-trace pass would (see the property tests).
-//! * [`BlockMap`] is the flat `Vec`-indexed table the protocols use.
-//! * [`next_use_times_interned`] routes the OPT forward-distance scan
-//!   through the interner (one intern per reference, then pure array
-//!   arithmetic), replacing the borrow-then-rehash double hashing the
-//!   generic scan used to do.
+//! bounded universe of blocks — the trace footprint — and most workloads
+//! number theirs compactly, so a table access can be a vector index.
 //!
 //! [`BlockMap`] is a two-tier flat table. Raw ids below
 //! [`DIRECT_LIMIT`] — every looping/Zipf/temporal synthetic workload and
@@ -32,101 +21,15 @@
 //! insertion history, so callers iterate only where order is
 //! behaviourally irrelevant.
 
-use crate::{BlockId, Trace};
+use crate::BlockId;
 use fxhash::FxHashMap;
 use ulc_cache::{NodeHandle, NodeLocator};
 
-/// A sentinel meaning "no next use" in the OPT forward scan; matches
-/// `ulc_cache::opt::NEVER`.
-const NEVER: u64 = u64::MAX;
-
 /// Raw block ids below this bound are direct-indexed by a dense
 /// [`BlockMap`]; ids at or above it (file-set ids pack the file index at
-/// bit 32) go through the interner. Bounds the worst-case direct table at
-/// 2 M slots per map.
+/// bit 32) take its fast-hash fallback. Bounds the worst-case direct table
+/// at 2 M slots per map.
 pub const DIRECT_LIMIT: u64 = 1 << 21;
-
-/// Maps [`BlockId`]s to dense `u32` indices in first-seen order.
-///
-/// # Examples
-///
-/// ```
-/// use ulc_trace::{BlockId, BlockInterner};
-///
-/// let mut interner = BlockInterner::new();
-/// let a = interner.intern(BlockId::new(700));
-/// let b = interner.intern(BlockId::new(3));
-/// assert_eq!((a, b), (0, 1));
-/// assert_eq!(interner.intern(BlockId::new(700)), 0); // stable
-/// assert_eq!(interner.resolve(1), Some(BlockId::new(3)));
-/// ```
-#[derive(Clone, Debug, Default)]
-pub struct BlockInterner {
-    index_of: FxHashMap<u64, u32>,
-    blocks: Vec<BlockId>,
-}
-
-impl BlockInterner {
-    /// Creates an empty interner.
-    pub fn new() -> Self {
-        BlockInterner::default()
-    }
-
-    /// Creates an empty interner with room for `capacity` distinct blocks.
-    pub fn with_capacity(capacity: usize) -> Self {
-        BlockInterner {
-            index_of: FxHashMap::with_capacity_and_hasher(capacity, Default::default()),
-            blocks: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Builds an interner over a whole trace and returns it together with
-    /// the trace's reference stream re-expressed as dense indices.
-    pub fn from_trace(trace: &Trace) -> (Self, Vec<u32>) {
-        let mut interner = BlockInterner::with_capacity(trace.len().min(1 << 20));
-        let ids = trace.iter().map(|r| interner.intern(r.block)).collect();
-        (interner, ids)
-    }
-
-    /// Interns `block`, returning its dense index. The first call for a
-    /// given block assigns the next free index; later calls return the
-    /// same index forever.
-    #[inline]
-    pub fn intern(&mut self, block: BlockId) -> u32 {
-        match self.index_of.entry(block.raw()) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let idx = self.blocks.len() as u32;
-                assert!(idx != u32::MAX, "block universe exceeds u32 indices");
-                self.blocks.push(block);
-                e.insert(idx);
-                idx
-            }
-        }
-    }
-
-    /// Returns the dense index of `block` if it has been interned.
-    #[inline]
-    pub fn get(&self, block: BlockId) -> Option<u32> {
-        self.index_of.get(&block.raw()).copied()
-    }
-
-    /// Returns the block behind a dense index, if `idx` was assigned.
-    #[inline]
-    pub fn resolve(&self, idx: u32) -> Option<BlockId> {
-        self.blocks.get(idx as usize).copied()
-    }
-
-    /// Number of distinct blocks interned so far.
-    pub fn len(&self) -> usize {
-        self.blocks.len()
-    }
-
-    /// Returns `true` if nothing has been interned.
-    pub fn is_empty(&self) -> bool {
-        self.blocks.is_empty()
-    }
-}
 
 /// A map from [`BlockId`] to `V` over a two-tier flat table.
 ///
@@ -358,67 +261,9 @@ impl<'a, V> Iterator for Iter<'a, V> {
     }
 }
 
-/// OPT forward distances, routed through the interner: for every position
-/// `i`, the time of the next reference to the same block, or `u64::MAX`
-/// if it is never referenced again.
-///
-/// This is the interned replacement for the generic
-/// `ulc_cache::opt::next_use_times` scan, which kept a
-/// `HashMap<&T, usize>` and hashed each key twice per step (a lookup
-/// immediately followed by an insert). Here each reference is interned
-/// once (one fast hash) and the scan itself is pure array arithmetic.
-///
-/// # Examples
-///
-/// ```
-/// use ulc_trace::{intern::next_use_times_interned, BlockId};
-///
-/// let blocks: Vec<BlockId> = [1u64, 2, 1].map(BlockId::new).into();
-/// assert_eq!(next_use_times_interned(&blocks), vec![2, u64::MAX, u64::MAX]);
-/// ```
-pub fn next_use_times_interned(blocks: &[BlockId]) -> Vec<u64> {
-    let mut interner = BlockInterner::with_capacity(blocks.len().min(1 << 20));
-    let ids: Vec<u32> = blocks.iter().map(|&b| interner.intern(b)).collect();
-    let mut last_seen: Vec<u64> = vec![NEVER; interner.len()];
-    let mut out = vec![NEVER; ids.len()];
-    for (i, &id) in ids.iter().enumerate().rev() {
-        out[i] = last_seen[id as usize];
-        last_seen[id as usize] = i as u64;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn ids(raws: &[u64]) -> Vec<BlockId> {
-        raws.iter().copied().map(BlockId::new).collect()
-    }
-
-    #[test]
-    fn intern_assigns_first_seen_order() {
-        let mut it = BlockInterner::new();
-        assert_eq!(it.intern(BlockId::new(50)), 0);
-        assert_eq!(it.intern(BlockId::new(7)), 1);
-        assert_eq!(it.intern(BlockId::new(50)), 0);
-        assert_eq!(it.len(), 2);
-        assert_eq!(it.get(BlockId::new(7)), Some(1));
-        assert_eq!(it.get(BlockId::new(8)), None);
-        assert_eq!(it.resolve(0), Some(BlockId::new(50)));
-        assert_eq!(it.resolve(2), None);
-    }
-
-    #[test]
-    fn from_trace_matches_incremental() {
-        let t = Trace::from_blocks(ids(&[5, 9, 5, 2, 9, 5]));
-        let (interner, stream) = BlockInterner::from_trace(&t);
-        assert_eq!(stream, vec![0, 1, 0, 2, 1, 0]);
-        let mut inc = BlockInterner::new();
-        let inc_stream: Vec<u32> = t.iter().map(|r| inc.intern(r.block)).collect();
-        assert_eq!(stream, inc_stream);
-        assert_eq!(interner.len(), inc.len());
-    }
 
     #[test]
     fn block_map_semantics() {
@@ -474,23 +319,5 @@ mod tests {
         assert!(m.is_empty());
         assert_eq!(m.insert(hi, 9), None);
         assert_eq!(m.get(hi), Some(&9));
-    }
-
-    #[test]
-    fn interned_next_use_matches_naive() {
-        let blocks = ids(&[1, 2, 1, 3, 2, 1, 4]);
-        let got = next_use_times_interned(&blocks);
-        // Naive O(n^2) oracle.
-        let mut want = vec![NEVER; blocks.len()];
-        for i in 0..blocks.len() {
-            for j in i + 1..blocks.len() {
-                if blocks[j] == blocks[i] {
-                    want[i] = j as u64;
-                    break;
-                }
-            }
-        }
-        assert_eq!(got, want);
-        assert!(next_use_times_interned(&[]).is_empty());
     }
 }

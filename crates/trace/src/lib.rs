@@ -51,7 +51,7 @@ mod stats;
 pub mod synthetic;
 
 pub use block::{blocks_for_bytes, blocks_for_mib, BlockId, ClientId, FileId, BLOCK_SIZE_BYTES};
-pub use intern::{BlockInterner, BlockMap, DIRECT_LIMIT};
+pub use intern::{BlockMap, DIRECT_LIMIT};
 pub use record::{Trace, TraceRecord};
 pub use rng::{seeded_rng, TruncatedGeometric, Zipf};
 pub use stats::TraceStats;

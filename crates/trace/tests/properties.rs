@@ -1,16 +1,15 @@
-//! Property-based tests for the workload generators, the block
-//! interner and the block tables, including `BlockMap` as the node
-//! locator of `ulc_cache`'s LRUs.
+//! Property-based tests for the workload generators and the block
+//! tables, including `BlockMap` as the node locator of `ulc_cache`'s
+//! LRUs.
 
 use proptest::prelude::*;
 use std::collections::HashMap;
 use ulc_cache::{CacheEvent, LruCache, LruStack, NodeHandle, NodeLocator};
-use ulc_trace::multi::interleave;
 use ulc_trace::patterns::{
     FileSetPattern, LoopingPattern, Pattern, SequentialPattern, TemporalPattern, UniformPattern,
     WorkingSetDriftPattern, ZipfPattern,
 };
-use ulc_trace::{BlockId, BlockInterner, BlockMap, Trace, TraceStats, Zipf, DIRECT_LIMIT};
+use ulc_trace::{BlockId, BlockMap, Trace, TraceStats, Zipf, DIRECT_LIMIT};
 
 /// What one LRU operation returned.
 #[derive(Debug, PartialEq)]
@@ -221,69 +220,6 @@ proptest! {
     fn sequential_sweep_never_repeats(start in 0u64..1000, len in 1usize..300) {
         let t = SequentialPattern::new(start, 10).generate(len);
         prop_assert_eq!(t.unique_blocks(), len);
-    }
-
-    /// The interner round-trips an arbitrary block stream: every
-    /// reference resolves back to the block it was interned from, equal
-    /// blocks share one index, distinct blocks never collide, and the
-    /// dense index space is exactly `0..len`.
-    #[test]
-    fn interner_round_trips_arbitrary_streams(
-        blocks in proptest::collection::vec(0u64..500, 0..400),
-    ) {
-        let mut interner = BlockInterner::new();
-        let mut first_index = std::collections::HashMap::new();
-        for &raw in &blocks {
-            let block = BlockId::new(raw);
-            let idx = interner.intern(block);
-            prop_assert_eq!(interner.resolve(idx), Some(block));
-            prop_assert_eq!(interner.get(block), Some(idx));
-            let expect = *first_index.entry(raw).or_insert(idx);
-            prop_assert_eq!(idx, expect, "same block must keep its index");
-        }
-        prop_assert_eq!(interner.len(), first_index.len());
-        for idx in 0..interner.len() as u32 {
-            let b = interner.resolve(idx).expect("dense index space has no holes");
-            prop_assert_eq!(interner.get(b), Some(idx));
-        }
-        prop_assert_eq!(interner.resolve(interner.len() as u32), None);
-    }
-
-    /// Indices assigned so far never change as more blocks are interned
-    /// incrementally, and incremental interning of a multi-client
-    /// interleaved trace agrees with the one-shot `from_trace` build.
-    #[test]
-    fn interner_indices_are_stable_under_incremental_insertion(
-        loops in proptest::collection::vec(2u64..40, 1..5),
-        len in 1usize..300,
-        seed in 0u64..100,
-    ) {
-        let patterns: Vec<Box<dyn Pattern>> = loops
-            .iter()
-            .enumerate()
-            .map(|(i, &n)| {
-                Box::new(LoopingPattern::new(n).with_base(i as u64 * 1000)) as Box<dyn Pattern>
-            })
-            .collect();
-        let trace = interleave(patterns, None, len, seed);
-        let (oneshot, ids) = BlockInterner::from_trace(&trace);
-        prop_assert_eq!(ids.len(), trace.len());
-
-        let mut incremental = BlockInterner::new();
-        let mut snapshots: Vec<(BlockId, u32)> = Vec::new();
-        for (r, &expect) in trace.iter().zip(&ids) {
-            let idx = incremental.intern(r.block);
-            prop_assert_eq!(idx, expect, "incremental and one-shot builds agree");
-            // Every index handed out earlier must still resolve the same.
-            for &(b, i) in &snapshots {
-                prop_assert_eq!(incremental.get(b), Some(i));
-                prop_assert_eq!(incremental.resolve(i), Some(b));
-            }
-            if snapshots.len() < 64 {
-                snapshots.push((r.block, idx));
-            }
-        }
-        prop_assert_eq!(incremental.len(), oneshot.len());
     }
 
     /// `LruStack`/`LruCache` behave identically under both node locators

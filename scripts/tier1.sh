@@ -8,6 +8,19 @@ cd "$(dirname "$0")/.."
 cargo fmt --all --check
 
 cargo build --release
+
+# Rate gate (DESIGN.md §5e, EXPERIMENTS.md E9): the release build above
+# includes the plain replay `benchmark` binary. Each workload of
+# results/rate_ledger.txt replays for 11 calibrated rounds (about 25 s in
+# all); the binary exits non-zero on any wrong SimStats, and the gate
+# fails if a ULC or uniLRU rate stays under its ledger floor, 0.75 x the
+# recorded median, on a second run.
+bash scripts/rate_gate.sh
+
+# Every crate's suite, including the alloc gate (crates/bench/tests/
+# alloc_gate.rs, DESIGN.md §5f): its test target installs a counting
+# allocator, so every golden-grid cell and the benchmark-sized serial
+# and sharded cells must replay their steady tail allocation-free.
 cargo test -q --workspace
 
 # Built-in lint wall, set in the root [workspace.lints] table, the
@@ -17,9 +30,8 @@ cargo test -q --workspace
 # code, no unwrap or panic in library code, no wildcard arm over a
 # message-plane enum in the three delivery modules, and reasoned
 # `#[expect]` suppressions that must still be fulfilled. Clippy sees only
-# compiled code, so it runs again with every feature on: the
-# `alloc_stats` allocator's unsafe impl and the `obs` recording path
-# exist only there.
+# compiled code, so it runs again with every feature on: the `obs`
+# recording path exists only there.
 cargo clippy --workspace --all-targets -- -D warnings
 cargo clippy --workspace --all-targets --all-features -- -D warnings
 
@@ -106,28 +118,6 @@ cargo test -q -p ulc-core --test chaos --features debug_invariants seeded_chaos_
 # above runs the plain build of the same suite.)
 cargo test -q -p ulc-core --features obs --test parallel_replay
 
-# Throughput + allocation gates (DESIGN.md §5e, §5f): the golden SimStats grid
-# above pins what the dense block tables and the pooled access paths
-# compute; this proves they stay fast and allocation-free. The
-# smoke-scale harness rewrites BENCH_sim.json and fails if any
-# accesses/sec rate drops more than 25% below the conservative checked-in
-# baseline (BENCH_baseline.json, recorded well under a healthy machine's
-# measurement so scheduler noise cannot trip the gate), or if a wide
-# (>= 8-thread) sharded ULC-multi row falls under 2x its cell's serial
-# baseline rate (the E11 shard-scaling floor). Building with
-# --features alloc_stats installs the counting global allocator, so the
-# same run also fails if ULC, uniLRU, evict-reload or ULC-multi (serial
-# and sharded alike) report a nonzero steady-state allocations/access
-# rate (DESIGN.md §5f).
-cargo run -q --release -p ulc-bench --features alloc_stats --bin sweep -- \
-  --bench-only --scale=smoke \
-  --bench-json=BENCH_sim.json --bench-baseline=BENCH_baseline.json
-
-# The unit-level form of the same contract, with the counting allocator
-# on: every cell of the golden grid above, the FaultyPlane legs included,
-# warmed once and then replaying its last tenth, must allocate nothing.
-cargo test -q -p ulc-bench --features alloc_stats --test alloc_gate
-
 # Observability gates (DESIGN.md §5h): the obs crate's own suite (ring,
 # registry, proptested merge laws) and the per-protocol conservation
 # suite (event ledger reconciles exactly with SimStats; the exclusive
@@ -135,27 +125,21 @@ cargo test -q -p ulc-bench --features alloc_stats --test alloc_gate
 cargo test -q -p ulc-obs --features enabled
 cargo test -q -p ulc-core --features obs --test obs_conservation
 
-# The §5f contract with a live recorder attached: the same alloc-gate
-# suite plus a seeded smoke sweep built with recording enabled, whose
-# allocation profiles run with a recorder attached to every serial row
-# (sharded rows profile without one: sharded replay cannot record) and
-# must report 0.0000 steady allocations/access (the run exits non-zero
-# otherwise). No baseline: an instrumented build's rates are not
-# comparable.
-cargo test -q -p ulc-bench --features "alloc_stats obs" --test alloc_gate
-mkdir -p results
-cargo run -q --release -p ulc-bench --features "alloc_stats obs" --bin sweep -- \
-  --bench-only --scale=smoke --bench-json=results/BENCH_obs.json
+# The §5f contract with a live recorder attached: the alloc gate built
+# with recording enabled runs its recorder legs, and its benchmark-sized
+# serial cells replay with a recorder attached (sharded replay cannot
+# record, so the sharded leg runs without one).
+cargo test -q -p ulc-bench --features obs --test alloc_gate
 
 # The flight-recorder export, the one observability report (DESIGN.md
-# §5j, EXPERIMENTS.md E12): the golden schema snapshots pin the export's
-# shape (and the bench JSON's, which plain `cargo test` also checks), and
-# a tiny live collect must verify, with the residency replay verified on
-# both ULC cells; then obs-tool writes a seeded smoke export whose every
-# cell reconciles with its SimStats and whose window sums reconcile
-# exactly with the final registries, converts it to a Chrome trace, and
-# `verify` re-parses the written file and recomputes the derived report
-# bit-identically — export and verify exit non-zero on any drift.
+# §5j, EXPERIMENTS.md E12): the golden schema snapshot pins the export's
+# shape, and a tiny live collect must verify, with the residency replay
+# verified on both ULC cells; then obs-tool writes a seeded smoke export
+# whose every cell reconciles with its SimStats and whose window sums
+# reconcile exactly with the final registries, converts it to a Chrome
+# trace, and `verify` re-parses the written file and recomputes the
+# derived report bit-identically — export and verify exit non-zero on
+# any drift.
 cargo test -q -p ulc-bench --features obs --test json_schema
 cargo test -q -p ulc-bench --features obs --lib flight
 cargo run -q --release -p ulc-bench --features obs --bin obs-tool -- \
