@@ -341,15 +341,9 @@ fn flight_cell<P: MultiLevelPolicy + Observe>(
     let capacity = (trace.len() as u64 / window_len + 1) as usize;
     policy.obs_mut().enable_timeline(window_len, capacity);
     let stats = simulate(&mut policy, trace, 0);
-    let f = &stats.faults;
-    policy.obs_mut().add_plane_faults(
-        f.messages_dropped
-            + f.messages_duplicated
-            + f.messages_reordered
-            + f.overflow_drops
-            + f.rpc_failures
-            + f.crashes,
-    );
+    policy
+        .obs_mut()
+        .add_plane_faults(stats.faults.transport_faults());
     policy.obs_mut().finish();
     let Some(rec) = policy.obs().recorder() else {
         return FlightCell {

@@ -45,37 +45,6 @@ pub fn lru_stack_distances<T: Eq + Hash>(items: &[T]) -> Vec<Option<usize>> {
     out
 }
 
-/// [`lru_stack_distances`] over a pre-interned stream of dense ids: the
-/// per-item hash map disappears entirely — the interned id *is* the
-/// [`RecencyList`] id.
-///
-/// `ids` are dense indices, for example block ids numbered in
-/// first-seen order (any `u32`s work; the list is sized to the largest
-/// id seen).
-///
-/// # Examples
-///
-/// ```
-/// use ulc_cache::{lru_stack_distances, lru_stack_distances_indexed};
-///
-/// // 'a' ↦ 0, 'b' ↦ 1 under first-seen interning.
-/// assert_eq!(
-///     lru_stack_distances_indexed(&[0, 1, 1, 0]),
-///     lru_stack_distances(&['a', 'b', 'b', 'a']),
-/// );
-/// ```
-pub fn lru_stack_distances_indexed(ids: &[u32]) -> Vec<Option<usize>> {
-    let n = ids.len();
-    let universe = ids.iter().map(|&i| i as usize + 1).max().unwrap_or(0);
-    let mut list = RecencyList::with_capacity(universe, n);
-    let mut out = Vec::with_capacity(n);
-    for &id in ids {
-        out.push(list.rank_of(id as usize));
-        list.move_to_front(id as usize);
-    }
-    out
-}
-
 /// Computes the paper's **NLD** (next locality distance) of every
 /// reference: the recency at which the block will be referenced *next*
 /// time, or `None` if this is its final reference.
@@ -181,38 +150,5 @@ mod tests {
     fn empty_input() {
         assert!(lru_stack_distances::<u8>(&[]).is_empty());
         assert!(next_locality_distances::<u8>(&[]).is_empty());
-        assert!(lru_stack_distances_indexed(&[]).is_empty());
-    }
-
-    #[test]
-    #[expect(
-        clippy::disallowed_types,
-        reason = "a test-only interning oracle; its hashing cost is never on the replay path"
-    )]
-    fn indexed_matches_generic_on_interned_stream() {
-        let mut x = 3u64;
-        let t: Vec<u64> = (0..2000)
-            .map(|_| {
-                x = x.wrapping_mul(2862933555777941757).wrapping_add(3037000493);
-                (x >> 40) % 53
-            })
-            .collect();
-        // First-seen dense numbering.
-        let mut seen: std::collections::HashMap<u64, u32> = std::collections::HashMap::new();
-        let ids: Vec<u32> = t
-            .iter()
-            .map(|&b| {
-                let next = seen.len() as u32;
-                *seen.entry(b).or_insert(next)
-            })
-            .collect();
-        assert_eq!(lru_stack_distances_indexed(&ids), lru_stack_distances(&t));
-    }
-
-    #[test]
-    fn indexed_accepts_sparse_ids() {
-        // Ids need not be contiguous; the list sizes to the largest.
-        let d = lru_stack_distances_indexed(&[10, 3, 3, 10]);
-        assert_eq!(d, vec![None, None, Some(0), Some(1)]);
     }
 }

@@ -53,7 +53,7 @@ mod mq;
 mod opt;
 mod random_cache;
 
-pub use distance::{lru_stack_distances, lru_stack_distances_indexed, next_locality_distances};
+pub use distance::{lru_stack_distances, next_locality_distances};
 pub use indexed_list::{Fenwick, KeyedList, LazyMinTree, RecencyList};
 pub use lirs::Lirs;
 pub use list::{Iter, LinkedSlab, NodeHandle};

@@ -27,19 +27,6 @@ impl fmt::Debug for NodeHandle {
     }
 }
 
-impl Default for NodeHandle {
-    /// A sentinel handle that never refers to a live node — every lookup
-    /// through it misses. Exists so handles can fill inline scratch
-    /// buffers (`SmallVec` placeholder slots) without inventing a fake
-    /// live reference.
-    fn default() -> Self {
-        NodeHandle {
-            index: NIL,
-            generation: u32::MAX,
-        }
-    }
-}
-
 const NIL: u32 = u32::MAX;
 
 #[derive(Clone, Debug)]
@@ -209,37 +196,6 @@ impl<T> LinkedSlab<T> {
             index: i,
             generation: gen,
         }
-    }
-
-    /// Inserts `value` immediately before the node at `at`.
-    ///
-    /// Returns `None` (dropping nothing — the value is returned inside the
-    /// error) if the handle is stale.
-    ///
-    /// # Errors
-    ///
-    /// Returns `Err(value)` if `at` is stale.
-    pub fn insert_before(&mut self, at: NodeHandle, value: T) -> Result<NodeHandle, T> {
-        if !self.valid(at) {
-            return Err(value);
-        }
-        let i = self.alloc(value);
-        let gen = self.nodes[i as usize].generation;
-        let prev = self.nodes[at.index as usize].prev;
-        self.nodes[i as usize].prev = prev;
-        self.nodes[i as usize].next = at.index;
-        self.nodes[at.index as usize].prev = i;
-        if prev != NIL {
-            self.nodes[prev as usize].next = i;
-        } else {
-            self.head = i;
-        }
-        self.len += 1;
-        self.debug_validate();
-        Ok(NodeHandle {
-            index: i,
-            generation: gen,
-        })
     }
 
     fn unlink(&mut self, i: u32) {
@@ -562,29 +518,6 @@ mod tests {
         let b = l.push_front('b');
         assert!(l.move_to_front(b));
         assert_eq!(collect(&l), vec!['b', 'a']);
-    }
-
-    #[test]
-    fn insert_before_links_correctly() {
-        let mut l = LinkedSlab::new();
-        let a = l.push_back('a');
-        let c = l.push_back('c');
-        let b = l.insert_before(c, 'b').unwrap();
-        assert_eq!(collect(&l), vec!['a', 'b', 'c']);
-        assert_eq!(l.prev(b), Some(a));
-        assert_eq!(l.next(b), Some(c));
-        // Insert before the head updates the head.
-        let z = l.insert_before(a, 'z').unwrap();
-        assert_eq!(l.front(), Some(z));
-        assert_eq!(collect(&l), vec!['z', 'a', 'b', 'c']);
-    }
-
-    #[test]
-    fn insert_before_stale_handle_returns_value() {
-        let mut l = LinkedSlab::new();
-        let a = l.push_back(1);
-        l.remove(a);
-        assert_eq!(l.insert_before(a, 9), Err(9));
     }
 
     #[test]

@@ -81,4 +81,4 @@ pub use multi::{ClaimRule, UlcMulti, UlcMultiConfig};
 pub use parallel::{simulate_sharded, ShardedReplayer};
 pub use scratch::AccessScratch;
 pub use single::{MessageStats, UlcConfig, UlcSingle};
-pub use stack::{Placement, StackAccess, StackOutcome, UniLruStack};
+pub use stack::{Placement, StackAccess, UniLruStack};

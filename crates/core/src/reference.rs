@@ -13,8 +13,8 @@ use ulc_trace::BlockId;
 
 const OUT: usize = usize::MAX;
 
-/// One access's outcome, mirroring [`crate::StackOutcome`] fields that are
-/// semantically meaningful.
+/// One access's outcome: the fields of [`crate::StackAccess`] and
+/// [`crate::AccessScratch`] that are semantically meaningful.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct NaiveOutcome {
     /// Level the block was retrieved from.
@@ -218,12 +218,12 @@ mod tests {
         let mut fast = UniLruStack::new(caps.to_vec());
         let mut naive = NaiveUlc::new(caps.to_vec());
         for (step, &blk) in blocks.iter().enumerate() {
-            let f = fast.access(b(blk));
+            let (f, fx) = fast.access(b(blk));
             let n = naive.access(b(blk));
             assert_eq!(f.found, n.found, "step {step}: found");
             assert_eq!(f.placed, n.placed, "step {step}: placed");
-            assert_eq!(f.demotions, n.demotions, "step {step}: demotions");
-            let mut fe = f.evicted.clone();
+            assert_eq!(fx.demotions, n.demotions, "step {step}: demotions");
+            let mut fe = fx.evicted;
             let mut ne = n.evicted.clone();
             fe.sort();
             ne.sort();

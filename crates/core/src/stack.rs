@@ -81,27 +81,6 @@ pub struct StackAccess {
     pub placed: Placement,
 }
 
-/// What one [`UniLruStack::access`] did.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct StackOutcome {
-    /// Where the block was found: its retrieval source. `Uncached` means
-    /// the block was read from disk (either absent from the stack or
-    /// resident only as history).
-    pub found: Placement,
-    /// Whether the block had stack history (metadata present).
-    pub was_in_stack: bool,
-    /// Where the block was placed by this access.
-    pub placed: Placement,
-    /// Demotion transfers per boundary caused by this access
-    /// (`levels - 1` entries).
-    pub demotions: Vec<u32>,
-    /// The demoted blocks: `(block, from_level, settled_level)`. A block
-    /// crossing several boundaries appears once, with its final level.
-    pub demoted: Vec<(BlockId, usize, usize)>,
-    /// Blocks evicted from the bottom level to `L_out` by this access.
-    pub evicted: Vec<BlockId>,
-}
-
 /// The unified LRU stack with yardsticks.
 #[derive(Debug)]
 pub struct UniLruStack {
@@ -417,20 +396,13 @@ impl UniLruStack {
 
     /// Handles one reference to `block` — the complete §3.2.1 algorithm.
     ///
-    /// By-value compatibility wrapper over [`UniLruStack::access_into`]:
-    /// builds a fresh [`StackOutcome`] per call. Steady-state hot paths
-    /// should own an [`AccessScratch`] and call `access_into` instead.
-    pub fn access(&mut self, block: BlockId) -> StackOutcome {
+    /// [`UniLruStack::access_into`] over a fresh [`AccessScratch`], returned
+    /// with the summary: for tests and one-off callers. Steady-state hot
+    /// paths should own one scratch and call `access_into` instead.
+    pub fn access(&mut self, block: BlockId) -> (StackAccess, AccessScratch) {
         let mut scratch = AccessScratch::new();
         let res = self.access_into(block, &mut scratch);
-        StackOutcome {
-            found: res.found,
-            was_in_stack: res.was_in_stack,
-            placed: res.placed,
-            demotions: scratch.demotions.to_vec(),
-            demoted: scratch.demoted.to_vec(),
-            evicted: scratch.evicted.to_vec(),
-        }
+        (res, scratch)
     }
 
     /// Handles one reference to `block`, writing the variable-length side
@@ -635,7 +607,7 @@ mod tests {
     fn warmup_fills_levels_top_down() {
         let mut s = stack(&[2, 2]);
         for i in 0..4 {
-            let out = s.access(b(i));
+            let (out, _) = s.access(b(i));
             assert!(!out.was_in_stack);
             s.check_invariants();
         }
@@ -652,7 +624,7 @@ mod tests {
         let mut s = stack(&[1, 1]);
         s.access(b(0));
         s.access(b(1));
-        let out = s.access(b(2));
+        let (out, _) = s.access(b(2));
         assert_eq!(out.placed, Placement::Uncached);
         assert_eq!(out.found, Placement::Uncached);
         assert!(s.contains(b(2)), "history entry kept");
@@ -666,14 +638,14 @@ mod tests {
         s.access(b(0)); // L1
         s.access(b(1)); // L2
         s.access(b(2)); // out (history at top)
-        let out = s.access(b(2)); // re-access at tiny recency → L1
+        let (out, scratch) = s.access(b(2)); // re-access at tiny recency → L1
         assert_eq!(out.placed, Placement::Level(0));
         assert_eq!(out.found, Placement::Uncached); // was only history
                                                     // b0 (old Y1) is demoted toward L2, where it would at once be the
                                                     // victim again (it is older than b1): it falls through to L_out
                                                     // with no transfer, and b1 keeps its L2 slot.
-        assert_eq!(out.demotions, vec![0]);
-        assert_eq!(out.evicted, vec![b(0)]);
+        assert_eq!(scratch.demotions, vec![0]);
+        assert_eq!(scratch.evicted, vec![b(0)]);
         assert_eq!(s.cached_level(b(1)), Some(1));
         assert_eq!(s.cached_level(b(2)), Some(0));
         assert_eq!(s.cached_level(b(0)), None);
@@ -690,10 +662,10 @@ mod tests {
         }
         for _ in 0..3 {
             for i in 0..2 {
-                let out = s.access(b(i));
+                let (out, scratch) = s.access(b(i));
                 assert_eq!(out.found, Placement::Level(0));
                 assert_eq!(out.placed, Placement::Level(0));
-                assert_eq!(out.demotions, vec![0]);
+                assert_eq!(scratch.demotions, vec![0]);
                 s.check_invariants();
             }
         }
@@ -711,9 +683,9 @@ mod tests {
         let mut hits_by_level = [0u32; 3];
         for round in 0..20 {
             for i in 0..loop_len {
-                let out = s.access(b(i));
+                let (out, scratch) = s.access(b(i));
                 if round > 0 {
-                    demotions += out.demotions.iter().sum::<u32>();
+                    demotions += scratch.demotions.iter().sum::<u32>();
                     if let Placement::Level(l) = out.found {
                         hits_by_level[l] += 1;
                     }
@@ -737,11 +709,11 @@ mod tests {
             last_round_hits = 0;
             last_round_demotions = 0;
             for i in 0..8 {
-                let out = s.access(b(i));
+                let (out, scratch) = s.access(b(i));
                 if out.found != Placement::Uncached {
                     last_round_hits += 1;
                 }
-                last_round_demotions += out.demotions.iter().sum::<u32>();
+                last_round_demotions += scratch.demotions.iter().sum::<u32>();
             }
             s.check_invariants();
             let _ = round;
@@ -811,10 +783,10 @@ mod tests {
         let mut s = stack(&[1, 100]);
         s.set_external_full(1, true);
         s.access(b(0)); // fills L1
-        let out = s.access(b(1)); // L2 declared full → uncached
+        let (out, _) = s.access(b(1)); // L2 declared full → uncached
         assert_eq!(out.placed, Placement::Uncached);
         s.set_external_full(1, false);
-        let out = s.access(b(2));
+        let (out, _) = s.access(b(2));
         assert_eq!(out.placed, Placement::Level(1));
         s.check_invariants();
     }
@@ -830,9 +802,9 @@ mod tests {
         s.access(b(4)); // history at top
                         // b4 → L1; Y1 = b0 is demoted toward L2, where it is older than
                         // both residents and falls through to L_out (no transfer).
-        let out = s.access(b(4));
-        assert_eq!(out.demotions, vec![0]);
-        assert_eq!(out.evicted, vec![b(0)]);
+        let (_, scratch) = s.access(b(4));
+        assert_eq!(scratch.demotions, vec![0]);
+        assert_eq!(scratch.evicted, vec![b(0)]);
         assert_eq!(s.yardstick(0), Some(b(1)));
         assert_eq!(s.cached_level(b(0)), None);
         assert_eq!(s.cached_level(b(2)), Some(1));

@@ -18,8 +18,8 @@
 use ulc_core::{UlcConfig, UlcMulti, UlcMultiConfig, UlcSingle};
 use ulc_hierarchy::plane::{FaultScenario, FaultyPlane};
 use ulc_hierarchy::{
-    simulate, DemotionBuffer, EvictionBased, IndLru, LruMqServer, MessagePlane, MultiLevelPolicy,
-    SimStats, UniLru, UniLruVariant,
+    simulate, DemotionBuffer, EvictionBased, IndLru, LruMqServer, MultiLevelPolicy, SimStats,
+    UniLru, UniLruVariant,
 };
 use ulc_obs::{check, Observe};
 use ulc_trace::patterns::{LoopingPattern, Pattern};
@@ -64,15 +64,9 @@ fn reconciled<P: MultiLevelPolicy + Observe>(
     policy.obs_mut().enable(levels, BIG_RING);
     attach_timeline(&mut policy, trace);
     let stats = simulate(&mut policy, trace, 0);
-    let f = &stats.faults;
-    policy.obs_mut().add_plane_faults(
-        f.messages_dropped
-            + f.messages_duplicated
-            + f.messages_reordered
-            + f.overflow_drops
-            + f.rpc_failures
-            + f.crashes,
-    );
+    policy
+        .obs_mut()
+        .add_plane_faults(stats.faults.transport_faults());
     policy.obs_mut().finish();
     let rec = policy
         .obs()
@@ -231,8 +225,8 @@ fn ulc_multi_reconciles_on_every_workload() {
 #[test]
 fn faulty_plane_run_reconciles_and_reports_transport_faults() {
     // Under an actively faulty plane the counters must still balance,
-    // and the plane's own accounting feeds the plane_faults counter via
-    // `PlaneAccounting::observe_into`.
+    // and the run's transport faults feed the plane_faults counter via
+    // `FaultSummary::transport_faults`.
     let trace = ulc_trace::synthetic::httpd_multi(30_000);
     let mut policy = UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048))
         .with_plane(FaultyPlane::new(common::crashy_mild_scenario()));
@@ -240,12 +234,9 @@ fn faulty_plane_run_reconciles_and_reports_transport_faults() {
     policy.obs_mut().enable(levels, BIG_RING);
     attach_timeline(&mut policy, &trace);
     let stats = simulate(&mut policy, &trace, 0);
-    let accounting = policy.plane().accounting();
-    {
-        let obs = policy.obs_mut();
-        accounting.observe_into(obs);
-        obs.finish();
-    }
+    let obs = policy.obs_mut();
+    obs.add_plane_faults(stats.faults.transport_faults());
+    obs.finish();
     let rec = policy.obs().recorder().expect("recorder");
     check::reconcile(rec, &view(&stats))
         .unwrap_or_else(|e| panic!("ULC/faulty/httpd: conservation failed: {e}"));
@@ -266,10 +257,9 @@ fn faulty_plane_run_reconciles_and_reports_transport_faults() {
         UlcMulti::new(UlcMultiConfig::uniform(7, 256, 2048)).with_plane(FaultyPlane::new(zero));
     let levels = clean.num_levels();
     clean.obs_mut().enable(levels, BIG_RING);
-    let _ = simulate(&mut clean, &trace, 0);
-    let accounting = clean.plane().accounting();
+    let stats = simulate(&mut clean, &trace, 0);
     let obs = clean.obs_mut();
-    accounting.observe_into(obs);
+    obs.add_plane_faults(stats.faults.transport_faults());
     obs.finish();
     let rec = clean.obs().recorder().expect("recorder");
     assert_eq!(rec.metrics().counter(ulc_obs::CounterId::PlaneFaults), 0);

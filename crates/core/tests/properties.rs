@@ -32,11 +32,11 @@ proptest! {
         let mut fast = UniLruStack::new(caps.clone());
         let mut naive = NaiveUlc::new(caps.clone());
         for (step, &blk) in blocks.iter().enumerate() {
-            let f = fast.access(BlockId::new(blk));
+            let (f, fx) = fast.access(BlockId::new(blk));
             let n = naive.access(BlockId::new(blk));
             prop_assert_eq!(f.found, n.found, "step {}", step);
             prop_assert_eq!(f.placed, n.placed, "step {}", step);
-            prop_assert_eq!(&f.demotions, &n.demotions, "step {}", step);
+            prop_assert_eq!(&fx.demotions, &n.demotions, "step {}", step);
             for l in 0..caps.len() {
                 prop_assert_eq!(
                     fast.level_blocks(l),
@@ -83,7 +83,7 @@ proptest! {
         let mut stack = UniLruStack::new(caps.clone());
         let mut resident: std::collections::HashMap<u64, usize> = Default::default();
         for &blk in &blocks {
-            let out = stack.access(BlockId::new(blk));
+            let (out, fx) = stack.access(BlockId::new(blk));
             match out.found {
                 Placement::Level(l) => {
                     prop_assert_eq!(resident.get(&blk).copied(), Some(l));
@@ -101,10 +101,10 @@ proptest! {
                     resident.remove(&blk);
                 }
             }
-            for (b, _, to) in &out.demoted {
+            for (b, _, to) in &fx.demoted {
                 resident.insert(b.raw(), *to);
             }
-            for b in &out.evicted {
+            for b in &fx.evicted {
                 resident.remove(&b.raw());
             }
         }
@@ -119,15 +119,15 @@ proptest! {
     ) {
         let mut stack = UniLruStack::new(caps.clone());
         for &blk in &blocks {
-            let out = stack.access(BlockId::new(blk));
+            let (_, fx) = stack.access(BlockId::new(blk));
             let mut expect = vec![0u32; caps.len().saturating_sub(1)];
-            for &(_, from, to) in &out.demoted {
+            for &(_, from, to) in &fx.demoted {
                 prop_assert!(from < to, "demotions go downward");
                 for e in &mut expect[from..to] {
                     *e += 1;
                 }
             }
-            prop_assert_eq!(&out.demotions, &expect);
+            prop_assert_eq!(&fx.demotions, &expect);
         }
     }
 

@@ -1,11 +1,12 @@
 //! Differential oracle suite for the raw `uniLRUstack`'s pooled path.
 //!
 //! [`UniLruStack::access_into`] over a reused [`AccessScratch`] that
-//! starts dirty must make exactly the decisions of the spec-shaped
-//! by-value [`UniLruStack::access`] — found level, placement, per-boundary
-//! demotion counters, demoted and evicted blocks — reference for
-//! reference. The engines' pooled paths are pinned end to end by the
-//! golden `SimStats` grid (`golden_stats.rs`).
+//! starts dirty must make exactly the decisions of
+//! [`UniLruStack::access`], which fills a fresh scratch per reference —
+//! found level, placement, per-boundary demotion counters, demoted and
+//! evicted blocks — reference for reference. The engines' pooled paths
+//! are pinned end to end by the golden `SimStats` grid
+//! (`golden_stats.rs`).
 
 use proptest::collection::vec;
 use proptest::prelude::*;
@@ -14,7 +15,7 @@ use ulc_trace::BlockId;
 
 #[test]
 fn dirty_scratch_on_the_raw_stack_is_equivalent_to_fresh() {
-    // Drive one uniLRUstack with `access()` (fresh buffers) and a twin
+    // Drive one uniLRUstack with `access()` (a fresh scratch) and a twin
     // with `access_into` over a scratch that was first dirtied on a
     // *different* stack shape, then reused without clearing. Every
     // side-effect list must match reference for reference.
@@ -30,26 +31,18 @@ fn dirty_scratch_on_the_raw_stack_is_equivalent_to_fresh() {
 
     for i in 0..5_000u64 {
         let blk = BlockId::new((i * 37) % 150);
-        let f = fresh.access(blk);
+        let (f, fx) = fresh.access(blk);
         let p = pooled.access_into(blk, &mut scratch);
-        assert_eq!(f.found, p.found, "step {i}: found diverged");
-        assert_eq!(f.was_in_stack, p.was_in_stack, "step {i}");
-        assert_eq!(f.placed, p.placed, "step {i}: placement diverged");
+        assert_eq!(f, p, "step {i}: found level or placement diverged");
         assert_eq!(
-            f.demotions.as_slice(),
-            scratch.demotions.as_slice(),
+            fx.demotions, scratch.demotions,
             "step {i}: demotion counters diverged"
         );
         assert_eq!(
-            f.demoted.as_slice(),
-            scratch.demoted.as_slice(),
+            fx.demoted, scratch.demoted,
             "step {i}: demoted blocks diverged"
         );
-        assert_eq!(
-            f.evicted.as_slice(),
-            scratch.evicted.as_slice(),
-            "step {i}: evictions diverged"
-        );
+        assert_eq!(fx.evicted, scratch.evicted, "step {i}: evictions diverged");
     }
 }
 
@@ -58,7 +51,7 @@ proptest! {
 
     /// Random hierarchy shapes × random reference streams: the pooled
     /// path over a continuously-reused dirty scratch makes exactly the
-    /// decisions of the by-value path.
+    /// decisions of the fresh-scratch path.
     #[test]
     fn pooled_stack_equals_by_value_on_random_traces(
         caps in vec(1usize..6, 1..5),
@@ -68,13 +61,12 @@ proptest! {
         let mut pooled = UniLruStack::new(caps);
         let mut scratch = AccessScratch::new();
         for (step, &blk) in blocks.iter().enumerate() {
-            let f = fresh.access(BlockId::new(blk));
+            let (f, fx) = fresh.access(BlockId::new(blk));
             let p = pooled.access_into(BlockId::new(blk), &mut scratch);
-            prop_assert_eq!(f.found, p.found, "step {}", step);
-            prop_assert_eq!(f.placed, p.placed, "step {}", step);
-            prop_assert_eq!(f.demotions.as_slice(), scratch.demotions.as_slice(), "step {}", step);
-            prop_assert_eq!(f.demoted.as_slice(), scratch.demoted.as_slice(), "step {}", step);
-            prop_assert_eq!(f.evicted.as_slice(), scratch.evicted.as_slice(), "step {}", step);
+            prop_assert_eq!(f, p, "step {}", step);
+            prop_assert_eq!(&fx.demotions, &scratch.demotions, "step {}", step);
+            prop_assert_eq!(&fx.demoted, &scratch.demoted, "step {}", step);
+            prop_assert_eq!(&fx.evicted, &scratch.evicted, "step {}", step);
         }
     }
 }

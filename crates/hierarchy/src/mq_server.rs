@@ -30,30 +30,13 @@ impl LruMqServer {
     ///
     /// Panics if `client_capacities` is empty or any capacity is zero.
     pub fn new(client_capacities: Vec<usize>, server_capacity: usize) -> Self {
-        LruMqServer::with_config(
-            client_capacities,
-            server_capacity,
-            MqConfig::for_capacity(server_capacity),
-        )
-    }
-
-    /// Same as [`LruMqServer::new`] with explicit MQ parameters.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `client_capacities` is empty or any capacity is zero.
-    pub fn with_config(
-        client_capacities: Vec<usize>,
-        server_capacity: usize,
-        config: MqConfig,
-    ) -> Self {
         assert!(
             !client_capacities.is_empty(),
             "at least one client is required"
         );
         LruMqServer {
             clients: client_capacities.into_iter().map(LruCache::new).collect(),
-            server: MultiQueue::new(server_capacity, config),
+            server: MultiQueue::new(server_capacity, MqConfig::for_capacity(server_capacity)),
             obs: ObsHandle::default(),
         }
     }

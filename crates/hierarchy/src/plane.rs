@@ -105,7 +105,8 @@ pub struct PlaneAccounting {
     pub sent: u64,
     /// Messages handed back by [`MessagePlane::deliver_into`].
     pub delivered: u64,
-    /// Messages lost (fault drops, crash purges and queue overflow).
+    /// Messages lost to fault drops and crash purges (queue overflow is
+    /// counted in `overflow_drops` alone).
     pub dropped: u64,
     /// Extra copies injected by duplication faults.
     pub duplicated: u64,
@@ -141,21 +142,6 @@ impl PlaneAccounting {
         s.rpc_failures += self.rpc_failures;
         s.crashes += self.crashes;
         s.delivery_batches += self.delivery_batches;
-    }
-
-    /// Folds the transport-fault tallies into an observability handle's
-    /// `plane_faults` counter (DESIGN.md §5h). Kept separate from the
-    /// protocol-level `Fault` events so transport faults are not counted
-    /// twice.
-    pub fn observe_into(&self, obs: &mut ulc_obs::ObsHandle) {
-        obs.add_plane_faults(
-            self.dropped
-                + self.duplicated
-                + self.reordered
-                + self.overflow_drops
-                + self.rpc_failures
-                + self.crashes,
-        );
     }
 }
 
@@ -704,7 +690,6 @@ impl FaultyPlane {
         let q = self.queues.entry((link, dir)).or_default();
         if q.len() >= self.scenario.queue_bound {
             self.acct.overflow_drops += 1;
-            self.acct.dropped += 1;
             return;
         }
         let seq = self.next_seq;
@@ -963,8 +948,8 @@ mod tests {
         assert_eq!(drain(&mut f, 0, Direction::Down), vec![demote(1)]);
     }
 
-    #[test]
-    fn queue_bound_drops_overflow() {
+    /// 20 delayed sends into a link queue bounded at 8.
+    fn overflowed_plane() -> FaultyPlane {
         let mut s = FaultScenario::zero(5).with_delay(1.0, 1000);
         s.queue_bound = 8;
         let mut f = FaultyPlane::new(s);
@@ -972,8 +957,21 @@ mod tests {
         for i in 0..20 {
             f.send(0, Direction::Down, demote(i));
         }
+        f
+    }
+
+    #[test]
+    fn queue_bound_drops_overflow() {
+        let f = overflowed_plane();
         assert_eq!(f.in_flight(), 8);
         assert_eq!(f.accounting().overflow_drops, 12);
+    }
+
+    #[test]
+    fn queue_overflow_is_one_transport_fault() {
+        let mut s = FaultSummary::default();
+        overflowed_plane().accounting().fold_into(&mut s);
+        assert_eq!(s.transport_faults(), 12);
     }
 
     #[test]

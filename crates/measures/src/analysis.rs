@@ -105,30 +105,6 @@ pub fn analyze(trace: &Trace, kind: MeasureKind, segments: usize) -> SegmentRepo
     }
 }
 
-/// Analyses `trace` under all four measures.
-pub fn analyze_all(trace: &Trace, segments: usize) -> Vec<(MeasureKind, SegmentReport)> {
-    MeasureKind::ALL
-        .iter()
-        .map(|&m| (m, analyze(trace, m, segments)))
-        .collect()
-}
-
-/// [`analyze_all`] fanned across one thread per measure. The result is
-/// identical, in `MeasureKind::ALL` order, regardless of which worker
-/// finishes first.
-pub fn analyze_all_parallel(trace: &Trace, segments: usize) -> Vec<(MeasureKind, SegmentReport)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = MeasureKind::ALL
-            .iter()
-            .map(|&m| scope.spawn(move || (m, analyze(trace, m, segments))))
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("analyzer thread panicked"))
-            .collect()
-    })
-}
-
 /// NLD value of each reference: the recency at which the block will be
 /// referenced next time, or [`INFINITE`].
 fn next_locality_values(blocks: &[u32]) -> Vec<u64> {
@@ -702,12 +678,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_analyze_all_matches_sequential() {
-        let t = synthetic::zipf_small(4_000);
-        assert_eq!(analyze_all_parallel(&t, 10), analyze_all(&t, 10));
-    }
-
-    #[test]
     fn fast_matches_slow_on_tiny_trace() {
         let t = tiny_trace();
         for kind in MeasureKind::ALL {
@@ -787,14 +757,6 @@ mod tests {
         for w in ratios.windows(2) {
             assert!(w[0] >= w[1], "ratios should decay: {ratios:?}");
         }
-    }
-
-    #[test]
-    fn analyze_all_returns_four_reports() {
-        let t = tiny_trace();
-        let all = analyze_all(&t, 4);
-        assert_eq!(all.len(), 4);
-        assert_eq!(all[0].0, MeasureKind::Nd);
     }
 
     #[test]

@@ -48,7 +48,7 @@ mod report;
 mod samples;
 mod summary;
 
-pub use analysis::{analyze, analyze_all, analyze_all_parallel, recencies, reference};
+pub use analysis::{analyze, recencies, reference};
 pub use histogram::ReuseHistogram;
 pub use measure::{MeasureKind, INFINITE};
 pub use report::SegmentReport;

@@ -259,7 +259,6 @@ pub fn windows_reconcile(rec: &RingRecorder) -> Result<(), String> {
 mod tests {
     use super::*;
     use crate::event::Event;
-    use crate::recorder::Recorder;
 
     fn push(log: &mut RingLog, tick: u64, kind: EventKind, level: u16, block: u64) {
         log.push(Event {

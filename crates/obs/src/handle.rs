@@ -21,7 +21,7 @@
 
 use crate::event::EventKind;
 use crate::metrics::CounterId;
-use crate::recorder::{Recorder, RingRecorder};
+use crate::recorder::RingRecorder;
 
 /// The engine-facing recording switch; zero-sized without the `enabled`
 /// feature.

@@ -11,8 +11,8 @@
 //! * [`metrics`] — the pre-registered [`MetricsRegistry`]: counters,
 //!   per-level rows and power-of-two-bucket [`Pow2Histogram`]s, summed
 //!   with [`MetricsRegistry::merge`].
-//! * [`recorder`] — the [`Recorder`] trait ([`NoopRecorder`] compiles to
-//!   nothing) and the live [`RingRecorder`].
+//! * [`recorder`] — the live [`RingRecorder`] behind every attached
+//!   handle.
 //! * [`handle`] — the feature-switched [`ObsHandle`] and the [`Observe`]
 //!   trait generic drivers use to reach it.
 //! * [`timeline`] — the fixed-capacity windowed [`TimelineSampler`]:
@@ -53,7 +53,7 @@ pub mod timeline;
 pub use event::{Event, EventKind};
 pub use handle::{ObsHandle, Observe};
 pub use metrics::{CounterId, HistId, LevelCounters, MetricsRegistry, Pow2Histogram, POW2_BUCKETS};
-pub use recorder::{NoopRecorder, Recorder, RingRecorder};
+pub use recorder::RingRecorder;
 pub use ring::RingLog;
 pub use span::{SpanCostModel, MAX_SPAN_LEVELS};
 pub use timeline::TimelineSampler;

@@ -36,8 +36,8 @@ pub enum CounterId {
     Reconciles,
     /// Faults the protocol observed and worked around.
     Faults,
-    /// Transport faults tallied from the message plane's accounting
-    /// (`PlaneAccounting::observe_into`).
+    /// Transport faults tallied from the run's fault summary
+    /// (`ulc_hierarchy::FaultSummary::transport_faults`).
     PlaneFaults,
     /// Synchronous RPC round-trips issued to lower levels.
     Rpcs,

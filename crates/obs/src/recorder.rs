@@ -1,11 +1,8 @@
-//! The `Recorder` trait and its two implementations.
-//!
-//! [`NoopRecorder`] has empty bodies (the trait's defaults) that the
-//! optimizer erases entirely; [`RingRecorder`] is the live sink the
-//! `enabled` feature attaches behind [`crate::ObsHandle`]: one
-//! [`RingLog`] for the event stream, one [`MetricsRegistry`] for exact
-//! whole-run tallies, and optionally one [`TimelineSampler`] mirroring
-//! every tally into the window of the current tick (DESIGN.md §5j).
+//! [`RingRecorder`], the live sink the `enabled` feature attaches behind
+//! [`crate::ObsHandle`]: one [`RingLog`] for the event stream, one
+//! [`MetricsRegistry`] for exact whole-run tallies, and optionally one
+//! [`TimelineSampler`] mirroring every tally into the window of the
+//! current tick (DESIGN.md §5j).
 //! Construction allocates once; recording never does — the alloc gate
 //! (`crates/bench/tests/alloc_gate.rs`) replays settled engines with a
 //! recorder attached and requires zero allocations.
@@ -21,40 +18,6 @@ use crate::metrics::{CounterId, HistId, MetricsRegistry};
 use crate::ring::RingLog;
 use crate::span::SpanCostModel;
 use crate::timeline::TimelineSampler;
-
-/// Sink for instrumentation events. All methods default to no-ops so a
-/// disabled recorder compiles to nothing.
-pub trait Recorder {
-    /// Marks the start of one reference; the previous access's span is
-    /// closed here ([`Recorder::span_end`]).
-    fn begin_access(&mut self) {}
-    /// Records one structured event (see [`EventKind`] for the `level`
-    /// convention of each kind).
-    fn record_event(&mut self, kind: EventKind, level: usize, block: u64) {
-        let _ = (kind, level, block);
-    }
-    /// Counts one synchronous RPC round-trip within the current access,
-    /// addressed to `to_level` (the level the round-trip reaches).
-    fn record_rpc(&mut self, to_level: usize) {
-        let _ = to_level;
-    }
-    /// Counts a demotion absorbed by a demotion buffer at `boundary`.
-    fn record_buffered(&mut self, boundary: usize) {
-        let _ = boundary;
-    }
-    /// Closes the current access's span: flushes the batched RPC-round,
-    /// demote-batch and span-cost tallies into their histograms,
-    /// attributed to the window the span began in. Idempotent.
-    fn span_end(&mut self) {}
-    /// Flushes any batching state at end of run.
-    fn finish(&mut self) {}
-}
-
-/// The recorder that records nothing and costs nothing.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub struct NoopRecorder;
-
-impl Recorder for NoopRecorder {}
 
 /// Applies one event's tallies to a registry — shared between the
 /// whole-run registry and the current timeline window so their contents
@@ -150,11 +113,6 @@ impl RingRecorder {
         self.timeline.as_deref()
     }
 
-    /// Mutable access to the attached timeline, if any.
-    pub fn timeline_mut(&mut self) -> Option<&mut TimelineSampler> {
-        self.timeline.as_deref_mut()
-    }
-
     /// Current tick: the 1-based position of the last access begun.
     pub fn ticks(&self) -> u64 {
         self.tick
@@ -181,11 +139,11 @@ impl RingRecorder {
             t.sample_window().observe(id, value);
         }
     }
-}
 
-impl Recorder for RingRecorder {
+    /// Marks the start of one reference; the previous access's span is
+    /// closed here ([`RingRecorder::span_end`]).
     #[inline]
-    fn begin_access(&mut self) {
+    pub fn begin_access(&mut self) {
         self.span_end();
         self.tick += 1;
         self.metrics.inc(CounterId::Accesses);
@@ -195,8 +153,10 @@ impl Recorder for RingRecorder {
         }
     }
 
+    /// Records one structured event (see [`EventKind`] for the `level`
+    /// convention of each kind).
     #[inline]
-    fn record_event(&mut self, kind: EventKind, level: usize, block: u64) {
+    pub fn record_event(&mut self, kind: EventKind, level: usize, block: u64) {
         self.log.push(Event {
             tick: self.tick,
             block,
@@ -222,8 +182,10 @@ impl Recorder for RingRecorder {
         }
     }
 
+    /// Counts one synchronous RPC round-trip within the current access,
+    /// addressed to `to_level` (the level the round-trip reaches).
     #[inline]
-    fn record_rpc(&mut self, to_level: usize) {
+    pub fn record_rpc(&mut self, to_level: usize) {
         self.metrics.inc(CounterId::Rpcs);
         if let Some(t) = self.timeline.as_deref_mut() {
             t.sample_window().inc(CounterId::Rpcs);
@@ -232,8 +194,9 @@ impl Recorder for RingRecorder {
         self.pending_span_cost += self.cost_model.weight(to_level);
     }
 
+    /// Counts a demotion absorbed by a demotion buffer at `boundary`.
     #[inline]
-    fn record_buffered(&mut self, boundary: usize) {
+    pub fn record_buffered(&mut self, boundary: usize) {
         self.metrics.inc(CounterId::DemotionsBuffered);
         if let Some(row) = self.metrics.level_mut(boundary) {
             row.buffered += 1;
@@ -247,8 +210,11 @@ impl Recorder for RingRecorder {
         }
     }
 
+    /// Closes the current access's span: flushes the batched RPC-round,
+    /// demote-batch and span-cost tallies into their histograms,
+    /// attributed to the window the span began in. Idempotent.
     #[inline]
-    fn span_end(&mut self) {
+    pub fn span_end(&mut self) {
         if self.pending_rpcs > 0 {
             let n = self.pending_rpcs;
             self.pending_rpcs = 0;
@@ -266,8 +232,9 @@ impl Recorder for RingRecorder {
         }
     }
 
+    /// Flushes any batching state at end of run.
     #[inline]
-    fn finish(&mut self) {
+    pub fn finish(&mut self) {
         self.span_end();
     }
 }
@@ -275,17 +242,6 @@ impl Recorder for RingRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn noop_recorder_accepts_everything() {
-        let mut r = NoopRecorder;
-        r.begin_access();
-        r.record_event(EventKind::Hit, 0, 1);
-        r.record_rpc(1);
-        r.record_buffered(0);
-        r.span_end();
-        r.finish();
-    }
 
     #[test]
     fn batches_flush_on_next_access_and_finish() {

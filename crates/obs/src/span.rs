@@ -5,8 +5,8 @@
 //! cross-level work of that reference — RPC round-trips, demotions
 //! across boundaries, the `L_out` fetch on a miss, recovery
 //! reconciliation — belongs to the span, identified by its tick. When
-//! the span closes ([`crate::Recorder::span_end`], called implicitly by
-//! the next `begin_access` and by `finish`), its accumulated cost is
+//! the span closes ([`crate::RingRecorder::span_end`], called implicitly
+//! by the next `begin_access` and by `finish`), its accumulated cost is
 //! recorded into the [`crate::HistId::SpanCost`] histogram.
 //!
 //! The cost model mirrors the paper's evaluation metric: lower levels

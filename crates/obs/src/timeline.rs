@@ -92,8 +92,9 @@ impl TimelineSampler {
     }
 
     /// Points the sampler at the window containing `tick` (ticks are
-    /// 1-based, as produced by `Recorder::begin_access`; tick 0 maps to
-    /// the first window). Out-of-range ticks clamp to the last window.
+    /// 1-based, as produced by [`crate::RingRecorder::begin_access`];
+    /// tick 0 maps to the first window). Out-of-range ticks clamp to the
+    /// last window.
     #[inline]
     pub fn set_tick(&mut self, tick: u64) {
         if tick > self.max_tick {

@@ -24,7 +24,7 @@ pub use temporal::TemporalPattern;
 pub use working_set::WorkingSetDriftPattern;
 pub use zipf::ZipfPattern;
 
-use crate::{BlockId, Trace, TraceRecord};
+use crate::{BlockId, Trace};
 
 /// A stateful generator of block references.
 ///
@@ -59,25 +59,9 @@ impl Pattern for Box<dyn Pattern> {
     }
 }
 
-/// Generates a trace by drawing `len` references from a boxed pattern.
-///
-/// Useful when the pattern is held as a trait object.
-pub fn generate_boxed(pattern: &mut dyn Pattern, len: usize) -> Trace {
-    (0..len)
-        .map(|_| TraceRecord::single(pattern.next_block()))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn generate_boxed_matches_generate() {
-        let mut a = LoopingPattern::new(5);
-        let mut b: Box<dyn Pattern> = Box::new(LoopingPattern::new(5));
-        assert_eq!(a.generate(17), generate_boxed(b.as_mut(), 17));
-    }
 
     #[test]
     fn boxed_pattern_implements_pattern() {
