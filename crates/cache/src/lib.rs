@@ -4,8 +4,8 @@
 //! single-level building blocks, all provided here:
 //!
 //! * [`LinkedSlab`] — a slab-backed doubly-linked list with stable,
-//!   generation-checked handles; the backbone of every stack in the
-//!   workspace (including ULC's `uniLRUstack` with its yardstick pointers);
+//!   generation-checked handles; the backbone of the LRU stacks, MQ's
+//!   queues and the server's `gLRU`;
 //! * [`LruStack`] / [`LruCache`] — keyed recency stacks and bounded LRU,
 //!   generic over the [`NodeLocator`] table that finds a key's node;
 //! * [`MultiQueue`] — the MQ second-level replacement algorithm

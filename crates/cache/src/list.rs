@@ -1,9 +1,8 @@
 //! A slab-backed doubly-linked list with stable handles.
 //!
-//! Every stack in this workspace — plain LRU stacks, the server's `gLRU`
-//! and ULC's `uniLRUstack` — needs O(1) insertion at the head, O(1) removal
-//! from anywhere, and stable references to interior nodes (the paper's
-//! *yardsticks* are exactly such references). [`LinkedSlab`] provides that
+//! The plain LRU stacks, MQ's queues and the server's `gLRU` need O(1)
+//! insertion at the head, O(1) removal from anywhere, and stable
+//! references to interior nodes. [`LinkedSlab`] provides that
 //! without unsafe code: nodes live in a `Vec`, links are indices, and freed
 //! slots are recycled through a free list threaded through their unused
 //! `next` links.
@@ -290,22 +289,6 @@ impl<T> LinkedSlab<T> {
         self.handle_at(self.tail)
     }
 
-    /// Handle of the node after `h` (toward the back), or `None`.
-    pub fn next(&self, h: NodeHandle) -> Option<NodeHandle> {
-        if !self.valid(h) {
-            return None;
-        }
-        self.handle_at(self.nodes[h.index as usize].next)
-    }
-
-    /// Handle of the node before `h` (toward the front), or `None`.
-    pub fn prev(&self, h: NodeHandle) -> Option<NodeHandle> {
-        if !self.valid(h) {
-            return None;
-        }
-        self.handle_at(self.nodes[h.index as usize].prev)
-    }
-
     /// Borrows the value at `h`, or `None` if stale.
     pub fn get(&self, h: NodeHandle) -> Option<&T> {
         if !self.valid(h) {
@@ -518,22 +501,6 @@ mod tests {
         let b = l.push_front('b');
         assert!(l.move_to_front(b));
         assert_eq!(collect(&l), vec!['b', 'a']);
-    }
-
-    #[test]
-    fn next_prev_traversal() {
-        let mut l = LinkedSlab::new();
-        let handles: Vec<_> = (0..4).map(|i| l.push_back(i)).collect();
-        let mut cur = l.front();
-        let mut seen = Vec::new();
-        while let Some(h) = cur {
-            seen.push(*l.get(h).unwrap());
-            cur = l.next(h);
-        }
-        assert_eq!(seen, vec![0, 1, 2, 3]);
-        assert_eq!(l.prev(handles[0]), None);
-        assert_eq!(l.next(handles[3]), None);
-        assert_eq!(l.prev(handles[2]), Some(handles[1]));
     }
 
     #[test]

@@ -25,7 +25,6 @@
 //! through a dirty reused outcome, and `tests/scratch_vs_reference.rs`
 //! for the raw stack through a dirty reused scratch.
 
-use ulc_cache::NodeHandle;
 use ulc_trace::BlockId;
 
 /// Entries reserved in each buffer. Hierarchies in the paper have 2–3
@@ -65,10 +64,10 @@ pub struct AccessScratch {
     /// Blocks evicted from the bottom level to `L_out` by this access.
     pub evicted: Vec<BlockId>,
     /// DemotionSearching working set: the cascade's touched entries as
-    /// `(handle, level first demoted from)`. Internal to the stack walk;
-    /// exposed to the crate so the cascade can run without borrowing
-    /// conflicts against the public result buffers above.
-    pub(crate) moved: Vec<(NodeHandle, usize)>,
+    /// `(stamp, level first demoted from)`. Internal to the stack's
+    /// cascade; exposed to the crate so the cascade can run without
+    /// borrowing conflicts against the public result buffers above.
+    pub(crate) moved: Vec<(u32, usize)>,
 }
 
 impl AccessScratch {
@@ -105,7 +104,6 @@ impl Default for AccessScratch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ulc_cache::LinkedSlab;
 
     #[test]
     fn reset_sizes_demotions_and_clears_the_rest() {
@@ -113,8 +111,7 @@ mod tests {
         s.demotions.extend_from_slice(&[5, 5, 5, 5, 5]);
         s.demoted.push((BlockId::new(1), 0, 1));
         s.evicted.push(BlockId::new(2));
-        let mut slab = LinkedSlab::new();
-        s.moved.push((slab.push_front(()), 3));
+        s.moved.push((7, 3));
         s.reset(2);
         assert_eq!(s.demotions, [0, 0]);
         assert!(s.demoted.is_empty());

@@ -13,31 +13,53 @@
 //!
 //! ## Mechanics
 //!
-//! Every entry carries a monotonically increasing `stamp` assigned when it
-//! is (re)inserted at the top, so the stack is always ordered by stamp and
-//! "is A deeper than B" is a single comparison — this is what makes every
-//! operation O(1) amortised, as §3.2 requires. The recency status of an
-//! entry is *derived*: the smallest level `j` whose yardstick stamp does
-//! not exceed the entry's stamp. The paper's two stack operations map to:
+//! The stack is a **log** of slots ordered by stamp: a slot's index *is*
+//! its entry's stamp, the top of the stack is the end of the log, and "is
+//! A deeper than B" is a single comparison of two indices. The log has two
+//! columns, each slot's block and its level tag (a cache level, `OUT` for
+//! uncached history, or `HOLE` for a slot its entry has left). One
+//! block-table row per entry, `{ stamp, level }`, answers the cached-level
+//! and membership queries and locates the entry's slot. The recency status
+//! of an entry is *derived*: the smallest level `j` whose yardstick stamp
+//! does not exceed the entry's stamp. Every operation is O(1) amortised,
+//! as §3.2 requires:
 //!
+//! * **Re-reference** — the entry's slot becomes a hole and the entry is
+//!   pushed on top with the next stamp; its row follows it.
 //! * **YardStickAdjustment** — when a yardstick block leaves its position
-//!   (re-accessed or demoted), the yardstick walks toward the stack top to
-//!   the next block of its level.
+//!   (re-accessed or demoted), the yardstick scans the level column toward
+//!   the stack top to the next slot of its level.
 //! * **DemotionSearching** — the demotion cascade: the victim of level `i`
-//!   is always `Yᵢ`; demoting it into `i+1` may overflow that level and
-//!   demote its yardstick in turn, until a level with spare room absorbs
-//!   the chain or the bottom level evicts to `L_out`.
+//!   is always `Yᵢ`; demoting it into `i+1` retags its slot in place (its
+//!   stamp is unchanged) and may overflow that level and demote its
+//!   yardstick in turn, until a level with spare room absorbs the chain or
+//!   the bottom level evicts to `L_out`.
+//! * **Trim** — entries below the last yardstick that are not cached
+//!   anywhere are trimmed (§3.2: the stack size is bounded by `Yₙ`; §5:
+//!   cold entries can be trimmed to bound metadata). A tail index moves up
+//!   past them and past holes, and every slot below it is a hole.
+//! * **Compaction** — a push that finds the log full first squeezes out
+//!   the holes, renumbering the live slots in order and rewriting their
+//!   rows and the yardsticks. Once live entries fill half the log, the
+//!   compaction regrows it to four times the live count, so at least half
+//!   the log is free after every compaction and each push pays for at
+//!   most two compacted slots.
 //!
-//! Entries below the last yardstick that are not cached anywhere are
-//! trimmed (§3.2: the stack size is bounded by `Yₙ`; §5: cold entries can
-//! be trimmed to bound metadata).
+//! [`UniLruStack::slots_scanned`] counts the slots these scans visit, the
+//! stack's only work that is not constant per access, so the O(1) claim
+//! is a count (`tests/scan_count.rs`).
 
 use crate::scratch::AccessScratch;
-use ulc_cache::{LinkedSlab, NodeHandle};
 use ulc_trace::{BlockId, BlockMap};
 
 /// Level tag for "not cached at any level".
 const OUT: u8 = u8::MAX;
+
+/// Level tag of a log slot whose entry moved up or was trimmed.
+const HOLE: u8 = u8::MAX - 1;
+
+/// The smallest log a compaction allocates.
+const MIN_LOG: usize = 64;
 
 /// Where a block is (or will be) held.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -58,11 +80,12 @@ impl Placement {
     }
 }
 
-#[derive(Clone, Debug)]
-struct Entry {
-    block: BlockId,
+/// An entry's block-table row: its log slot and its level tag (a level or
+/// `OUT`), the same tag its slot carries.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct Row {
+    stamp: u32,
     level: u8,
-    stamp: u64,
 }
 
 /// The fixed-size part of an access result: where the block was found
@@ -84,18 +107,30 @@ pub struct StackAccess {
 /// The unified LRU stack with yardsticks.
 #[derive(Debug)]
 pub struct UniLruStack {
-    list: LinkedSlab<Entry>,
-    /// Block → node location.
-    map: BlockMap<NodeHandle>,
-    yardsticks: Vec<Option<NodeHandle>>,
+    /// The block of each log slot; a slot's index is its entry's stamp.
+    blocks: Vec<BlockId>,
+    /// The level tag of each log slot: a level, `OUT` or `HOLE`.
+    levels: Vec<u8>,
+    /// Every slot below the tail is a hole.
+    tail: usize,
+    /// Slots the log holds before a push compacts it; both columns have
+    /// at least this capacity.
+    cap: usize,
+    /// The least `cap` a compaction leaves ([`Self::reserve_blocks`]).
+    floor: usize,
+    /// Block → row.
+    map: BlockMap<Row>,
+    /// The stamp of each level's yardstick.
+    yardsticks: Vec<Option<u32>>,
     counts: Vec<usize>,
     capacities: Vec<usize>,
     /// A level may be declared full by the environment even when this
     /// client's own count is below capacity (shared-server case).
     external_full: Vec<bool>,
-    next_stamp: u64,
     /// Optional bound on total stack entries (§5 metadata trimming).
     stack_limit: Option<usize>,
+    /// Log slots visited by yardstick scans, trims and compactions.
+    scanned: u64,
     #[cfg(feature = "debug_invariants")]
     tick: u64,
 }
@@ -110,33 +145,40 @@ impl UniLruStack {
     /// capacity is zero.
     pub fn new(capacities: Vec<usize>) -> Self {
         assert!(!capacities.is_empty(), "at least one level is required");
-        assert!(capacities.len() < OUT as usize, "too many levels");
+        assert!(capacities.len() < HOLE as usize, "too many levels");
         assert!(
             capacities.iter().all(|&c| c > 0),
             "level capacities must be positive"
         );
         let n = capacities.len();
         UniLruStack {
-            list: LinkedSlab::new(),
+            blocks: Vec::new(),
+            levels: Vec::new(),
+            tail: 0,
+            cap: 0,
+            floor: 0,
             map: BlockMap::new(),
             yardsticks: vec![None; n],
             counts: vec![0; n],
             capacities,
             external_full: vec![false; n],
-            next_stamp: 0,
             stack_limit: None,
+            scanned: 0,
             #[cfg(feature = "debug_invariants")]
             tick: 0,
         }
     }
 
-    /// Pre-sizes the node slab and locator table for `blocks` resident
-    /// entries (cached blocks plus uncached history). The stack still
-    /// grows past the reservation if a run's history exceeds it — this
-    /// only moves the allocations out of the measured steady phase
-    /// (DESIGN.md §5f), it never changes behaviour.
+    /// Sizes the stack for `blocks` resident entries (cached blocks plus
+    /// uncached history). The locator table reserves at once. The log,
+    /// which keeps at least half its slots free after a compaction,
+    /// records a floor of `2 * blocks` slots that its next compaction —
+    /// the first access — allocates. The stack still grows past the
+    /// reservation if a run's history exceeds it — this only moves the
+    /// allocations out of the measured steady phase (DESIGN.md §5f), it
+    /// never changes behaviour.
     pub fn reserve_blocks(&mut self, blocks: usize) {
-        self.list.reserve(blocks);
+        self.floor = self.floor.max(2 * blocks);
         self.map.reserve(blocks);
     }
 
@@ -191,18 +233,21 @@ impl UniLruStack {
 
     /// Total entries in the stack (cached + history).
     pub fn stack_len(&self) -> usize {
-        self.list.len()
+        self.map.len()
+    }
+
+    /// Log slots visited so far by yardstick scans, trims and compactions:
+    /// every step of the stack's work that is not constant per access.
+    /// Its mean per access stays under a constant (§5's O(1) claim,
+    /// `tests/scan_count.rs`).
+    pub fn slots_scanned(&self) -> u64 {
+        self.scanned
     }
 
     /// The level a block is cached at, if any.
     pub fn cached_level(&self, block: BlockId) -> Option<usize> {
-        let &h = self.map.get(block)?;
-        let e = self.list.get(h).expect("mapped handles are live");
-        if e.level == OUT {
-            None
-        } else {
-            Some(e.level as usize)
-        }
+        let row = self.map.get(block)?;
+        (row.level != OUT).then_some(row.level as usize)
     }
 
     /// Whether a block has metadata in the stack (cached or history).
@@ -212,7 +257,7 @@ impl UniLruStack {
 
     /// The yardstick block of `level` — the level's replacement victim.
     pub fn yardstick(&self, level: usize) -> Option<BlockId> {
-        self.yardsticks[level].map(|h| self.list.get(h).expect("yardsticks are live").block)
+        self.yardsticks[level].map(|y| self.blocks[y as usize])
     }
 
     /// All blocks cached at `level`, from most to least recent. O(stack).
@@ -225,45 +270,34 @@ impl UniLruStack {
     /// [`Self::level_blocks`] into a reused buffer, cleared first.
     pub(crate) fn level_blocks_into(&self, level: usize, blocks: &mut Vec<BlockId>) {
         blocks.clear();
+        let live = self.tail..self.blocks.len();
         blocks.extend(
-            self.list
+            self.blocks[live.clone()]
                 .iter()
-                .filter(|(_, e)| e.level == level as u8)
-                .map(|(_, e)| e.block),
+                .zip(&self.levels[live])
+                .rev()
+                .filter(|&(_, &l)| l == level as u8)
+                .map(|(&b, _)| b),
         );
-    }
-
-    fn entry(&self, h: NodeHandle) -> &Entry {
-        self.list.get(h).expect("internal handles are live")
-    }
-
-    fn stamp_of(&self, h: NodeHandle) -> u64 {
-        self.entry(h).stamp
     }
 
     fn is_full(&self, level: usize) -> bool {
         self.external_full[level] || self.counts[level] >= self.capacities[level]
     }
 
-    /// The recency region of an in-stack entry: the smallest level whose
-    /// yardstick is at least as deep as the entry (§3.2.1's recency
-    /// status), falling back to the shallowest non-full level, else
-    /// `Uncached`.
-    fn region_of(&self, h: NodeHandle) -> Placement {
-        let stamp = self.stamp_of(h);
-        for (j, y) in self.yardsticks.iter().enumerate() {
-            if let Some(yh) = y {
-                if stamp >= self.stamp_of(*yh) {
-                    return Placement::Level(j);
-                }
-            }
+    /// The recency region of the in-stack entry at `stamp`: the smallest
+    /// level whose yardstick is at least as deep as the entry (§3.2.1's
+    /// recency status), falling back to the shallowest non-full level,
+    /// else `Uncached`.
+    fn region_of(&self, stamp: u32) -> Placement {
+        match self
+            .yardsticks
+            .iter()
+            .position(|y| y.is_some_and(|y| stamp >= y))
+        {
+            Some(j) => Placement::Level(j),
+            None => self.first_open_level(),
         }
-        self.first_open_level()
-    }
-
-    /// The region of a block with no stack history (`L_out` arrival).
-    fn region_of_new(&self) -> Placement {
-        self.first_open_level()
     }
 
     fn first_open_level(&self) -> Placement {
@@ -273,32 +307,93 @@ impl UniLruStack {
         }
     }
 
-    /// YardStickAdjustment: the yardstick block of `level` is about to
-    /// leave its position (or its level); walk toward the stack top to the
-    /// next block of the level. With no such block: keep the current node
-    /// if `keep` (it stays in the level), else clear the yardstick.
-    fn adjust_yardstick_up(&mut self, level: usize, from: NodeHandle, keep: bool) {
-        let mut cur = self.list.prev(from);
-        while let Some(c) = cur {
-            if self.entry(c).level == level as u8 {
-                self.yardsticks[level] = Some(c);
-                return;
-            }
-            cur = self.list.prev(c);
-        }
-        self.yardsticks[level] = if keep { Some(from) } else { None };
+    /// YardStickAdjustment: the yardstick of `level` is about to leave
+    /// the slot `from` (or its level); scan toward the stack top for the
+    /// level's next slot, `None` if it has none above.
+    fn scan_up(&mut self, level: usize, from: u32) -> Option<u32> {
+        let start = from as usize + 1;
+        let found = self.levels[start..].iter().position(|&l| l == level as u8);
+        self.scanned += found.map_or(self.levels.len() - start, |p| p + 1) as u64;
+        found.map(|p| (start + p) as u32)
     }
 
-    /// A block (at `h`) has just been given `level`; make it the yardstick
-    /// if it is the level's deepest block.
-    fn maybe_take_yardstick(&mut self, level: usize, h: NodeHandle) {
-        match self.yardsticks[level] {
-            None => self.yardsticks[level] = Some(h),
-            Some(y) => {
-                if self.stamp_of(h) < self.stamp_of(y) {
-                    self.yardsticks[level] = Some(h);
-                }
+    /// A block (at `stamp`) has just been given `level`; make it the
+    /// yardstick if it is the level's deepest block.
+    fn maybe_take_yardstick(&mut self, level: usize, stamp: u32) {
+        let y = &mut self.yardsticks[level];
+        if y.is_none_or(|y| stamp < y) {
+            *y = Some(stamp);
+        }
+    }
+
+    /// Pushes `block` on top of the stack with level tag `level` and
+    /// returns its stamp, compacting first if the log is full.
+    #[inline]
+    fn push(&mut self, block: BlockId, level: u8) -> u32 {
+        if self.blocks.len() == self.cap {
+            self.compact();
+        }
+        let stamp = self.blocks.len() as u32;
+        self.blocks.push(block);
+        self.levels.push(level);
+        stamp
+    }
+
+    /// Moves `block`'s entry from the slot `old` to the top with level tag
+    /// `level`: the old slot becomes a hole, and the row follows the entry.
+    fn move_to_top(&mut self, block: BlockId, old: u32, level: u8) -> u32 {
+        self.levels[old as usize] = HOLE;
+        let stamp = self.push(block, level);
+        *self.map.get_mut(block).expect("a moved entry has a row") = Row { stamp, level };
+        stamp
+    }
+
+    /// Gives the entry at `stamp` the level tag `level` in place.
+    fn retag(&mut self, stamp: u32, level: u8) {
+        self.levels[stamp as usize] = level;
+        let block = self.blocks[stamp as usize];
+        self.map
+            .get_mut(block)
+            .expect("a live slot has a row")
+            .level = level;
+    }
+
+    /// Squeezes the holes out of the log, renumbering the live slots in
+    /// order from 0 and rewriting their rows and the yardsticks. If live
+    /// entries then fill half the log, or the log is under its floor, it
+    /// regrows to four times the live count (at least the floor). Runs
+    /// when a push finds the log full, so the pushes since the previous
+    /// compaction pay for it.
+    #[cold]
+    #[inline(never)]
+    fn compact(&mut self) {
+        let mut live = 0;
+        for slot in self.tail..self.blocks.len() {
+            let level = self.levels[slot];
+            if level == HOLE {
+                continue;
             }
+            let (block, stamp) = (self.blocks[slot], live as u32);
+            self.blocks[live] = block;
+            self.levels[live] = level;
+            if level != OUT && self.yardsticks[level as usize] == Some(slot as u32) {
+                self.yardsticks[level as usize] = Some(stamp);
+            }
+            self.map
+                .get_mut(block)
+                .expect("a live slot has a row")
+                .stamp = stamp;
+            live += 1;
+        }
+        self.scanned += (self.blocks.len() - self.tail) as u64;
+        self.blocks.truncate(live);
+        self.levels.truncate(live);
+        self.tail = 0;
+        if 2 * live >= self.cap || self.cap < self.floor {
+            self.cap = (4 * live).max(self.floor).max(MIN_LOG);
+            assert!(self.cap <= u32::MAX as usize, "stamps must fit in u32");
+            self.blocks.reserve_exact(self.cap - live);
+            self.levels.reserve_exact(self.cap - live);
         }
     }
 
@@ -314,38 +409,32 @@ impl UniLruStack {
     /// it never ships a block that has nowhere to stay.
     fn cascade(&mut self, start: usize, scratch: &mut AccessScratch) {
         let n = self.num_levels();
-        // `scratch.moved` holds (handle, level it was first demoted from);
-        // cascades are at most `n` long, so a linear dedup scan is fine.
+        // `scratch.moved` holds (stamp, level it was first demoted from);
+        // a cascade moves no slot, and it is at most `n` long, so a linear
+        // dedup scan is fine.
         scratch.moved.clear();
         let mut lvl = start;
         while lvl < n && self.counts[lvl] > self.capacities[lvl] {
             let victim = self.yardsticks[lvl].expect("over-full level has a yardstick");
-            self.adjust_yardstick_up(lvl, victim, false);
+            self.yardsticks[lvl] = self.scan_up(lvl, victim);
             self.counts[lvl] -= 1;
-            if !scratch.moved.iter().any(|&(h, _)| h == victim) {
+            if !scratch.moved.iter().any(|&(s, _)| s == victim) {
                 scratch.moved.push((victim, lvl));
             }
             if lvl + 1 < n {
-                self.list
-                    .get_mut(victim)
-                    .expect("victim handle is live")
-                    .level = (lvl + 1) as u8;
+                self.retag(victim, (lvl + 1) as u8);
                 self.counts[lvl + 1] += 1;
                 self.maybe_take_yardstick(lvl + 1, victim);
                 lvl += 1;
             } else {
                 // Falls out of the bottom level: becomes L_out history.
-                self.list
-                    .get_mut(victim)
-                    .expect("victim handle is live")
-                    .level = OUT;
+                self.retag(victim, OUT);
                 break;
             }
         }
         for k in 0..scratch.moved.len() {
-            let (h, from) = scratch.moved[k];
-            let e = self.entry(h);
-            let (block, level) = (e.block, e.level);
+            let (stamp, from) = scratch.moved[k];
+            let (block, level) = (self.blocks[stamp as usize], self.levels[stamp as usize]);
             if level == OUT {
                 scratch.evicted.push(block);
             } else {
@@ -361,36 +450,38 @@ impl UniLruStack {
     /// below the last yardstick, plus anything beyond the stack limit.
     fn trim(&mut self) {
         let last = self.num_levels() - 1;
-        while let Some(back) = self.list.back() {
-            let e = self.entry(back);
-            if e.level != OUT {
-                break;
-            }
-            let below_last_yardstick = match self.yardsticks[last] {
-                Some(y) => e.stamp < self.stamp_of(y),
-                None => false,
-            };
-            let over_limit = self.stack_limit.is_some_and(|l| self.list.len() > l);
-            if !(below_last_yardstick || over_limit) {
-                break;
-            }
-            let block = e.block;
-            self.map.remove(block);
-            self.list.remove(back);
-        }
-        // The limit must hold even when cached entries sit at the very
-        // bottom: walk upward past them and drop the oldest history.
-        if let Some(limit) = self.stack_limit {
-            let mut cursor = self.list.back();
-            while self.list.len() > limit {
-                let Some(h) = cursor else { break };
-                cursor = self.list.prev(h);
-                if self.entry(h).level == OUT {
-                    let block = self.entry(h).block;
-                    self.map.remove(block);
-                    self.list.remove(h);
+        let start = self.tail;
+        let mut slot = start;
+        while slot < self.levels.len() {
+            let level = self.levels[slot];
+            if level != HOLE {
+                if level != OUT {
+                    break;
                 }
+                let below_last_yardstick = self.yardsticks[last].is_some_and(|y| slot < y as usize);
+                let over_limit = self.stack_limit.is_some_and(|l| self.map.len() > l);
+                if !(below_last_yardstick || over_limit) {
+                    break;
+                }
+                self.map.remove(self.blocks[slot]);
+                self.levels[slot] = HOLE;
             }
+            slot += 1;
+        }
+        self.tail = slot;
+        self.scanned += (slot - start) as u64;
+        // The limit must hold even when cached entries sit at the very
+        // bottom: scan upward past them and drop the oldest history.
+        if let Some(limit) = self.stack_limit {
+            let mut slot = self.tail;
+            while self.map.len() > limit && slot < self.levels.len() {
+                if self.levels[slot] == OUT {
+                    self.map.remove(self.blocks[slot]);
+                    self.levels[slot] = HOLE;
+                }
+                slot += 1;
+            }
+            self.scanned += (slot - self.tail) as u64;
         }
     }
 
@@ -419,10 +510,9 @@ impl UniLruStack {
             placed: Placement::Uncached,
         };
 
-        if let Some(&h) = self.map.get(block) {
+        if let Some(&Row { stamp: old, level }) = self.map.get(block) {
             outcome.was_in_stack = true;
-            let level = self.entry(h).level;
-            let region = self.region_of(h);
+            let region = self.region_of(old);
 
             if level != OUT {
                 // Cached at level i; the region gives the target level j.
@@ -436,62 +526,53 @@ impl UniLruStack {
                     "recency status deeper than level status is impossible (i={i}, j={j})"
                 );
                 // The block leaves its position: adjust its yardstick.
-                if self.yardsticks[i] == Some(h) {
-                    self.adjust_yardstick_up(i, h, j == i);
+                if self.yardsticks[i] == Some(old) {
+                    self.yardsticks[i] = self.scan_up(i, old);
                 }
-                self.list.move_to_front(h);
-                self.list.get_mut(h).expect("handle is live").stamp = self.next_stamp;
-                self.next_stamp += 1;
+                let stamp = self.move_to_top(block, old, j as u8);
                 if j < i {
                     // Retrieve(b, i, j): promote; free a slot at level j by
                     // demoting yardsticks down toward level i.
-                    self.list.get_mut(h).expect("handle is live").level = j as u8;
                     self.counts[j] += 1;
                     self.counts[i] -= 1;
                     if self.counts[i] == 0 {
                         self.yardsticks[i] = None;
                     }
-                    self.maybe_take_yardstick(j, h);
+                    self.maybe_take_yardstick(j, stamp);
                     self.cascade(j, scratch);
                     outcome.placed = Placement::Level(j);
                 } else {
-                    // Retrieve(b, i, i): stays at its level.
+                    // Retrieve(b, i, i): stays at its level, and stays the
+                    // yardstick if no other block of the level is above it.
+                    self.maybe_take_yardstick(i, stamp);
                     outcome.placed = Placement::Level(i);
                 }
             } else {
                 // History entry (L_out): a miss, but its LLD is known.
-                self.list.move_to_front(h);
-                self.list.get_mut(h).expect("handle is live").stamp = self.next_stamp;
-                self.next_stamp += 1;
                 match region {
                     Placement::Level(j) => {
-                        self.list.get_mut(h).expect("handle is live").level = j as u8;
+                        let stamp = self.move_to_top(block, old, j as u8);
                         self.counts[j] += 1;
-                        self.maybe_take_yardstick(j, h);
+                        self.maybe_take_yardstick(j, stamp);
                         self.cascade(j, scratch);
                         outcome.placed = Placement::Level(j);
                     }
                     Placement::Uncached => {
                         // Weak locality: retrieved for the application but
                         // cached nowhere (it passes through tempLRU).
-                        outcome.placed = Placement::Uncached;
+                        self.move_to_top(block, old, OUT);
                     }
                 }
             }
         } else {
             // No history: first access (or trimmed long ago).
-            let region = self.region_of_new();
-            let h = self.list.push_front(Entry {
-                block,
-                level: OUT,
-                stamp: self.next_stamp,
-            });
-            self.next_stamp += 1;
-            self.map.insert(block, h);
+            let region = self.first_open_level();
+            let level = region.level().map_or(OUT, |j| j as u8);
+            let stamp = self.push(block, level);
+            self.map.insert(block, Row { stamp, level });
             if let Placement::Level(j) = region {
-                self.list.get_mut(h).expect("fresh handle").level = j as u8;
                 self.counts[j] += 1;
-                self.maybe_take_yardstick(j, h);
+                self.maybe_take_yardstick(j, stamp);
                 // The target level was not full, so no cascade is needed.
                 outcome.placed = Placement::Level(j);
             }
@@ -510,20 +591,22 @@ impl UniLruStack {
     /// Returns `false`, changing nothing, if the block is not cached at
     /// `level` (unknown, history, or held at another level).
     pub fn evict_cached(&mut self, block: BlockId, level: usize) -> bool {
-        let Some(&h) = self.map.get(block) else {
+        let Some(row) = self.map.get_mut(block) else {
             return false;
         };
-        if self.entry(h).level as usize != level {
+        if row.level as usize != level {
             return false;
         }
-        if self.yardsticks[level] == Some(h) {
-            self.adjust_yardstick_up(level, h, false);
+        row.level = OUT;
+        let stamp = row.stamp;
+        self.levels[stamp as usize] = OUT;
+        if self.yardsticks[level] == Some(stamp) {
+            self.yardsticks[level] = self.scan_up(level, stamp);
         }
         self.counts[level] -= 1;
         if self.counts[level] == 0 {
             self.yardsticks[level] = None;
         }
-        self.list.get_mut(h).expect("handle is live").level = OUT;
         self.trim();
         self.debug_validate();
         true
@@ -536,7 +619,7 @@ impl UniLruStack {
         #[cfg(feature = "debug_invariants")]
         {
             self.tick += 1;
-            if self.list.len() < 64 || self.tick.is_multiple_of(256) {
+            if self.map.len() < 64 || self.tick.is_multiple_of(256) {
                 self.check_invariants();
             }
         }
@@ -548,45 +631,55 @@ impl UniLruStack {
     ///
     /// Panics if any invariant is violated.
     pub fn check_invariants(&self) {
-        // Stamps strictly decrease front to back.
-        let mut prev: Option<u64> = None;
-        let mut counts = vec![0usize; self.num_levels()];
-        let mut deepest: Vec<Option<(u64, BlockId)>> = vec![None; self.num_levels()];
-        for (h, e) in self.list.iter() {
-            if let Some(p) = prev {
-                assert!(e.stamp < p, "stamps must descend toward the bottom");
+        let n = self.num_levels();
+        assert_eq!(self.blocks.len(), self.levels.len(), "log columns differ");
+        assert!(
+            self.blocks.len() <= self.cap
+                && self.blocks.capacity() >= self.cap
+                && self.levels.capacity() >= self.cap,
+            "the log holds {} slots, over its capacity {}",
+            self.blocks.len(),
+            self.cap
+        );
+        assert!(
+            self.levels[..self.tail].iter().all(|&l| l == HOLE),
+            "only holes below the tail"
+        );
+        let mut live = 0;
+        let mut counts = vec![0usize; n];
+        let mut deepest: Vec<Option<u32>> = vec![None; n];
+        for slot in self.tail..self.blocks.len() {
+            let (block, level) = (self.blocks[slot], self.levels[slot]);
+            if level == HOLE {
+                continue;
             }
-            prev = Some(e.stamp);
-            assert_eq!(self.map.get(e.block), Some(&h), "map is consistent");
-            if e.level != OUT {
-                counts[e.level as usize] += 1;
-                deepest[e.level as usize] = Some((e.stamp, e.block));
+            live += 1;
+            let stamp = slot as u32;
+            assert_eq!(
+                self.map.get(block),
+                Some(&Row { stamp, level }),
+                "the row of {block:?} must name its slot {slot} and tag"
+            );
+            if level != OUT {
+                assert!((level as usize) < n, "slot {slot} has tag {level}");
+                counts[level as usize] += 1;
+                deepest[level as usize].get_or_insert(stamp);
             }
         }
-        assert_eq!(self.map.len(), self.list.len(), "map covers the stack");
-        for i in 0..self.num_levels() {
+        assert_eq!(self.map.len(), live, "rows and live slots in bijection");
+        for i in 0..n {
             assert_eq!(self.counts[i], counts[i], "level {i} count");
             assert!(
                 self.counts[i] <= self.capacities[i],
                 "level {i} over capacity"
             );
-            let (y, d) = (self.yardsticks[i], deepest[i]);
             assert_eq!(
-                y.is_some(),
-                d.is_some(),
-                "yardstick {i} presence mismatch: {y:?} vs {d:?}"
+                self.yardsticks[i], deepest[i],
+                "yardstick {i} must be the level's deepest slot"
             );
-            if let (Some(y), Some((stamp, block))) = (y, d) {
-                let e = self.entry(y);
-                assert_eq!(
-                    (e.stamp, e.block),
-                    (stamp, block),
-                    "yardstick {i} must be the level's deepest block"
-                );
-            }
         }
         if let Some(limit) = self.stack_limit {
-            assert!(self.list.len() <= limit.max(self.map.len()), "stack limit");
+            assert!(self.map.len() <= limit, "stack limit");
         }
     }
 }
