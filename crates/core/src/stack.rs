@@ -141,7 +141,7 @@ impl UniLruStack {
     ///
     /// # Panics
     ///
-    /// Panics if `capacities` is empty, has more than 250 levels, or any
+    /// Panics if `capacities` is empty, has more than 253 levels, or any
     /// capacity is zero.
     pub fn new(capacities: Vec<usize>) -> Self {
         assert!(!capacities.is_empty(), "at least one level is required");
