@@ -9,15 +9,17 @@
 //!
 //! Handles are generation-checked: using a handle after its node was removed
 //! returns `None` (or panics in the `expect`-style accessors) instead of
-//! silently addressing a recycled slot.
+//! silently addressing a recycled slot. Generations start at 1 and skip 0
+//! when they wrap, so `Option<NodeHandle>` is as small as a handle.
 
 use std::fmt;
+use std::num::NonZeroU32;
 
 /// A stable, generation-checked reference to a node in a [`LinkedSlab`].
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct NodeHandle {
     index: u32,
-    generation: u32,
+    generation: NonZeroU32,
 }
 
 impl fmt::Debug for NodeHandle {
@@ -31,7 +33,7 @@ const NIL: u32 = u32::MAX;
 #[derive(Clone, Debug)]
 struct Node<T> {
     value: Option<T>,
-    generation: u32,
+    generation: NonZeroU32,
     prev: u32,
     /// The next linked node; on a vacant slot, the next free slot.
     next: u32,
@@ -135,7 +137,7 @@ impl<T> LinkedSlab<T> {
         assert!(self.nodes.len() < NIL as usize, "LinkedSlab capacity");
         self.nodes.push(Node {
             value: Some(value),
-            generation: 0,
+            generation: NonZeroU32::MIN,
             prev: NIL,
             next: NIL,
         });
@@ -145,7 +147,7 @@ impl<T> LinkedSlab<T> {
     /// Vacates slot `i` (already unlinked) and pushes it on the free chain.
     fn release(&mut self, i: u32) -> Option<T> {
         let node = &mut self.nodes[i as usize];
-        node.generation = node.generation.wrapping_add(1);
+        node.generation = node.generation.checked_add(1).unwrap_or(NonZeroU32::MIN);
         node.next = self.free;
         self.free = i;
         node.value.take()
@@ -415,6 +417,25 @@ mod tests {
 
     fn collect<T: Clone>(list: &LinkedSlab<T>) -> Vec<T> {
         list.iter().map(|(_, v)| v.clone()).collect()
+    }
+
+    #[test]
+    fn optional_handles_cost_no_tag() {
+        assert_eq!(std::mem::size_of::<NodeHandle>(), 8);
+        assert_eq!(std::mem::size_of::<Option<NodeHandle>>(), 8);
+    }
+
+    #[test]
+    fn generations_skip_zero_when_they_wrap() {
+        let mut l = LinkedSlab::new();
+        l.push_back(1);
+        l.nodes[0].generation = NonZeroU32::MAX;
+        let stale = l.front().unwrap();
+        assert_eq!(l.remove(stale), Some(1));
+        let b = l.push_back(2);
+        assert_eq!(b.generation, NonZeroU32::MIN, "the wrap skips 0");
+        assert_eq!(l.get(stale), None);
+        assert_eq!(l.get(b), Some(&2));
     }
 
     #[test]

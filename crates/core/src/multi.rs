@@ -906,6 +906,12 @@ mod tests {
     }
 
     #[test]
+    fn optional_server_slots_cost_no_tag() {
+        assert_eq!(std::mem::size_of::<ServerSlot>(), 12);
+        assert_eq!(std::mem::size_of::<Option<ServerSlot>>(), 12);
+    }
+
+    #[test]
     fn single_client_degenerate_case_matches_expectations() {
         // One client: the loop that fits client+server splits cleanly.
         let t = synthetic::cs(50_000); // 2500-block loop

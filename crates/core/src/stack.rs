@@ -50,6 +50,7 @@
 //! is a count (`tests/scan_count.rs`).
 
 use crate::scratch::AccessScratch;
+use std::num::NonZeroU8;
 use ulc_trace::{BlockId, BlockMap};
 
 /// Level tag for "not cached at any level".
@@ -82,10 +83,28 @@ impl Placement {
 
 /// An entry's block-table row: its log slot and its level tag (a level or
 /// `OUT`), the same tag its slot carries.
+///
+/// The tag is kept plus 2, wrapping: `OUT` is stored as 1 and the levels
+/// as 2 and up. Only `HOLE`, which no row holds, would store 0, so
+/// `Option<Row>` takes its `None` from that zero and a table row is 8
+/// bytes, not 12.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct Row {
     stamp: u32,
-    level: u8,
+    tag: NonZeroU8,
+}
+
+impl Row {
+    #[inline]
+    fn new(stamp: u32, level: u8) -> Self {
+        let tag = NonZeroU8::new(level.wrapping_add(2)).expect("a row never holds HOLE");
+        Row { stamp, tag }
+    }
+
+    #[inline]
+    fn level(self) -> u8 {
+        self.tag.get().wrapping_sub(2)
+    }
 }
 
 /// The fixed-size part of an access result: where the block was found
@@ -246,8 +265,8 @@ impl UniLruStack {
 
     /// The level a block is cached at, if any.
     pub fn cached_level(&self, block: BlockId) -> Option<usize> {
-        let row = self.map.get(block)?;
-        (row.level != OUT).then_some(row.level as usize)
+        let level = self.map.get(block)?.level();
+        (level != OUT).then_some(level as usize)
     }
 
     /// Whether a block has metadata in the stack (cached or history).
@@ -344,7 +363,7 @@ impl UniLruStack {
     fn move_to_top(&mut self, block: BlockId, old: u32, level: u8) -> u32 {
         self.levels[old as usize] = HOLE;
         let stamp = self.push(block, level);
-        *self.map.get_mut(block).expect("a moved entry has a row") = Row { stamp, level };
+        *self.map.get_mut(block).expect("a moved entry has a row") = Row::new(stamp, level);
         stamp
     }
 
@@ -352,10 +371,7 @@ impl UniLruStack {
     fn retag(&mut self, stamp: u32, level: u8) {
         self.levels[stamp as usize] = level;
         let block = self.blocks[stamp as usize];
-        self.map
-            .get_mut(block)
-            .expect("a live slot has a row")
-            .level = level;
+        *self.map.get_mut(block).expect("a live slot has a row") = Row::new(stamp, level);
     }
 
     /// Squeezes the holes out of the log, renumbering the live slots in
@@ -510,7 +526,8 @@ impl UniLruStack {
             placed: Placement::Uncached,
         };
 
-        if let Some(&Row { stamp: old, level }) = self.map.get(block) {
+        if let Some(&row) = self.map.get(block) {
+            let (old, level) = (row.stamp, row.level());
             outcome.was_in_stack = true;
             let region = self.region_of(old);
 
@@ -569,7 +586,7 @@ impl UniLruStack {
             let region = self.first_open_level();
             let level = region.level().map_or(OUT, |j| j as u8);
             let stamp = self.push(block, level);
-            self.map.insert(block, Row { stamp, level });
+            self.map.insert(block, Row::new(stamp, level));
             if let Placement::Level(j) = region {
                 self.counts[j] += 1;
                 self.maybe_take_yardstick(j, stamp);
@@ -594,11 +611,11 @@ impl UniLruStack {
         let Some(row) = self.map.get_mut(block) else {
             return false;
         };
-        if row.level as usize != level {
+        if row.level() as usize != level {
             return false;
         }
-        row.level = OUT;
         let stamp = row.stamp;
+        *row = Row::new(stamp, OUT);
         self.levels[stamp as usize] = OUT;
         if self.yardsticks[level] == Some(stamp) {
             self.yardsticks[level] = self.scan_up(level, stamp);
@@ -657,7 +674,7 @@ impl UniLruStack {
             let stamp = slot as u32;
             assert_eq!(
                 self.map.get(block),
-                Some(&Row { stamp, level }),
+                Some(&Row::new(stamp, level)),
                 "the row of {block:?} must name its slot {slot} and tag"
             );
             if level != OUT {
@@ -903,6 +920,15 @@ mod tests {
         assert_eq!(s.cached_level(b(2)), Some(1));
         assert_eq!(s.cached_level(b(3)), Some(1));
         s.check_invariants();
+    }
+
+    #[test]
+    fn optional_rows_cost_no_tag() {
+        assert_eq!(std::mem::size_of::<Row>(), 8);
+        assert_eq!(std::mem::size_of::<Option<Row>>(), 8);
+        for level in (0..HOLE).chain([OUT]) {
+            assert_eq!(Row::new(7, level).level(), level);
+        }
     }
 
     #[test]

@@ -3,13 +3,26 @@
 //! LRUs.
 
 use proptest::prelude::*;
+use serde::{Deserialize, Serialize};
+use std::collections::hash_map::DefaultHasher;
 use std::collections::HashMap;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash};
 use ulc_cache::{CacheEvent, LruCache, LruStack, NodeHandle, NodeLocator};
 use ulc_trace::patterns::{
     FileSetPattern, LoopingPattern, Pattern, SequentialPattern, TemporalPattern, UniformPattern,
     WorkingSetDriftPattern, ZipfPattern,
 };
-use ulc_trace::{BlockId, BlockMap, Trace, TraceStats, Zipf, DIRECT_LIMIT};
+use ulc_trace::{
+    BlockId, BlockMap, ClientId, FileId, Trace, TraceRecord, TraceStats, Zipf, DIRECT_LIMIT,
+};
+
+/// What `value` feeds the Fx hasher and std's `DefaultHasher`.
+fn hashes<T: Hash>(value: &T) -> (u64, u64) {
+    (
+        fxhash::FxBuildHasher::default().hash_one(value),
+        BuildHasherDefault::<DefaultHasher>::default().hash_one(value),
+    )
+}
 
 /// What one LRU operation returned.
 #[derive(Debug, PartialEq)]
@@ -244,6 +257,39 @@ proptest! {
             let state = model.state();
             prop_assert_eq!(fx.state(), state);
             prop_assert_eq!(dense.state(), state);
+        }
+    }
+
+    /// `BlockId` keeps its 8 bytes at 4-byte alignment, yet acts as its
+    /// raw `u64` everywhere: for ids below `DIRECT_LIMIT`, at or above it,
+    /// and file-set ids `(f << 32) | o`, it hashes as the `u64` under the
+    /// Fx hasher and std's `DefaultHasher` (so every Fx table iterates as
+    /// before), orders as it and serializes to the same `Value`, and a
+    /// `TraceRecord` holding it round-trips through JSON unchanged.
+    #[test]
+    fn block_ids_hash_order_and_serialize_as_their_raw_u64(
+        ids in proptest::collection::vec((0u8..3, any::<u32>(), any::<u32>()), 1..40),
+        client in any::<u32>(),
+    ) {
+        let blocks: Vec<BlockId> = ids
+            .iter()
+            .map(|&(tier, hi, lo)| match tier {
+                0 => BlockId::new(u64::from(lo) % DIRECT_LIMIT),
+                1 => BlockId::new(DIRECT_LIMIT + u64::from(lo)),
+                _ => BlockId::in_file(FileId::new(hi % u32::MAX), lo),
+            })
+            .collect();
+        for (&b, &next) in blocks.iter().zip(blocks.iter().cycle().skip(1)) {
+            let raw = b.raw();
+            prop_assert_eq!(hashes(&b), hashes(&raw));
+            prop_assert_eq!(b.cmp(&next), raw.cmp(&next.raw()));
+            prop_assert_eq!(b.partial_cmp(&next), raw.partial_cmp(&next.raw()));
+            prop_assert_eq!(b.to_value(), raw.to_value());
+            prop_assert_eq!(BlockId::from_value(&raw.to_value()), Ok(b));
+            let record = TraceRecord::new(ClientId::new(client), b);
+            let json = serde_json::to_string(&record).expect("a record serializes");
+            let back: TraceRecord = serde_json::from_str(&json).expect("its JSON parses");
+            prop_assert_eq!(back, record);
         }
     }
 
