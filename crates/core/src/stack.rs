@@ -662,6 +662,15 @@ impl UniLruStack {
             self.levels[..self.tail].iter().all(|&l| l == HOLE),
             "only holes below the tail"
         );
+        // Trim's postcondition, on which its early-out rests.
+        if let Some(&level) = self.levels.get(self.tail) {
+            assert_ne!(level, HOLE, "the tail slot {} is a hole", self.tail);
+            assert!(
+                level != OUT || self.yardsticks[n - 1].is_none_or(|y| self.tail >= y as usize),
+                "history at the tail slot {} lies below the last yardstick",
+                self.tail
+            );
+        }
         let mut live = 0;
         let mut counts = vec![0usize; n];
         let mut deepest: Vec<Option<u32>> = vec![None; n];
