@@ -80,5 +80,5 @@ mod stack;
 pub use multi::{ClaimRule, UlcMulti, UlcMultiConfig};
 pub use parallel::{simulate_sharded, ShardedReplayer};
 pub use scratch::AccessScratch;
-pub use single::{MessageStats, UlcConfig, UlcSingle};
+pub use single::{UlcConfig, UlcSingle};
 pub use stack::{Placement, StackAccess, UniLruStack};

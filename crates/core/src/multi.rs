@@ -706,7 +706,6 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
     fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome) {
         let c = client.as_usize();
         assert!(c < self.clients.len(), "unknown client {client}");
-        out.reset(1);
         self.obs.begin_access();
         self.plane.tick();
         self.apply_crashes();
@@ -854,8 +853,8 @@ impl<P: MessagePlane> MultiLevelPolicy for UlcMulti<P> {
         self.debug_validate();
 
         out.hit_level = hit_level;
-        out.demotions
-            .copy_from_slice(self.scratch.demotions.as_slice());
+        // The counters change hands, as in `UlcSingle`.
+        std::mem::swap(&mut out.demotions, &mut self.scratch.demotions);
     }
 
     #[inline]

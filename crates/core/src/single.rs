@@ -4,8 +4,15 @@
 //! [`MultiLevelPolicy`] interface, adds the client's `tempLRU` when the
 //! ablation counts its hits (the small stack that briefly holds blocks
 //! passing through the client on their way to the application when their
-//! caching level is below `L₁`), and counts the protocol messages
-//! (`Retrieve`, `Demote`) that §3.2 defines.
+//! caching level is below `L₁`), and hands each access's demotion
+//! counters to the caller's outcome by swapping the two buffers, so a
+//! reference that demotes nothing copies and zeroes nothing.
+//!
+//! The protocol messages that §3.2 defines are the outcome's counts, as
+//! [`ulc_hierarchy::SimStats`] records them: one `Retrieve(b, i, j)` per
+//! reference, from the level that hit (`hits_by_level`) or from disk
+//! (`misses`), and one `Demote(b, i, i+1)` per transfer
+//! (`demotions_by_boundary`).
 
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
@@ -40,30 +47,6 @@ impl UlcConfig {
     }
 }
 
-/// Counts of the two ULC request types (§3.2.1), for overhead reporting.
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct MessageStats {
-    /// `Retrieve(b, i, j)` requests, indexed by the level `i` the block
-    /// was retrieved from (last slot = disk).
-    pub retrieves_by_source: Vec<u64>,
-    /// `Demote(b, i, i+1)` instructions per boundary.
-    pub demotes_by_boundary: Vec<u64>,
-}
-
-impl MessageStats {
-    fn new(levels: usize) -> Self {
-        MessageStats {
-            retrieves_by_source: vec![0; levels + 1],
-            demotes_by_boundary: vec![0; levels - 1],
-        }
-    }
-
-    /// Total messages sent.
-    pub fn total(&self) -> u64 {
-        self.retrieves_by_source.iter().sum::<u64>() + self.demotes_by_boundary.iter().sum::<u64>()
-    }
-}
-
 /// The single-client ULC protocol.
 ///
 /// # Examples
@@ -87,7 +70,6 @@ pub struct UlcSingle {
     /// asks for it: the paper's blocks leave it unread (§3.2, footnote 3).
     temp_lru: Option<LruStack<BlockId>>,
     config: UlcConfig,
-    messages: MessageStats,
     /// Reusable per-access buffers; once their high-water marks settle the
     /// steady-state access path performs no heap allocation (DESIGN.md §5f).
     scratch: AccessScratch,
@@ -105,20 +87,13 @@ impl UlcSingle {
     pub fn new(config: UlcConfig) -> Self {
         let mut stack = UniLruStack::new(config.capacities.clone());
         stack.set_stack_limit(config.stack_limit);
-        let levels = config.capacities.len();
         UlcSingle {
             stack,
             temp_lru: config.temp_lru.map(|_| LruStack::new()),
             config,
-            messages: MessageStats::new(levels),
             scratch: AccessScratch::new(),
             obs: ObsHandle::default(),
         }
-    }
-
-    /// Protocol message counters.
-    pub fn messages(&self) -> &MessageStats {
-        &self.messages
     }
 
     /// The underlying `uniLRUstack` (read access for inspection).
@@ -182,39 +157,32 @@ impl MultiLevelPolicy for UlcSingle {
             ClientId::SINGLE,
             "single-client protocol serves exactly one client"
         );
-        out.reset(self.stack.num_levels() - 1);
         self.obs.begin_access();
         if let Some(temp_lru) = self.temp_lru.as_mut().filter(|t| t.contains(&block)) {
             // Ablation mode: the block is still in client memory.
             temp_lru.touch(block);
             // The stack still observes the reference for its history.
             let res = self.stack.access_into(block, &mut self.scratch);
-            out.hit_level = Some(0);
-            out.demotions
-                .copy_from_slice(self.scratch.demotions.as_slice());
             self.obs.on_hit(0, block.raw());
             self.record_stack_effects(block, res.placed);
             self.note_temp_lru(block, res.placed);
+            out.hit_level = Some(0);
+            std::mem::swap(&mut out.demotions, &mut self.scratch.demotions);
             return;
         }
         let res = self.stack.access_into(block, &mut self.scratch);
-        let source = match res.found {
-            Placement::Level(i) => i,
-            Placement::Uncached => self.stack.num_levels(), // disk
-        };
-        self.messages.retrieves_by_source[source] += 1;
-        for (b, &d) in self.scratch.demotions.iter().enumerate() {
-            self.messages.demotes_by_boundary[b] += d as u64;
-        }
         match res.found.level() {
             Some(level) => self.obs.on_hit(level, block.raw()),
             None => self.obs.on_miss(block.raw()),
         }
         self.record_stack_effects(block, res.placed);
-        self.note_temp_lru(block, res.placed);
+        if self.temp_lru.is_some() {
+            self.note_temp_lru(block, res.placed);
+        }
         out.hit_level = res.found.level();
-        out.demotions
-            .copy_from_slice(self.scratch.demotions.as_slice());
+        // The counters change hands: the outcome's old buffer becomes the
+        // scratch the next access resets.
+        std::mem::swap(&mut out.demotions, &mut self.scratch.demotions);
     }
 
     #[inline]
@@ -325,13 +293,14 @@ mod tests {
 
     #[test]
     fn message_counts_cover_every_reference() {
+        // A Retrieve's source is the level that hit, or disk on a miss.
         let t = synthetic::zipf_small(20_000);
         let mut ulc = UlcSingle::new(UlcConfig::new(vec![500, 500]));
-        let _ = simulate(&mut ulc, &t, 0);
-        let m = ulc.messages();
-        let retrieves: u64 = m.retrieves_by_source.iter().sum();
+        let stats = simulate(&mut ulc, &t, 0);
+        let retrieves = stats.hits_by_level.iter().sum::<u64>() + stats.misses;
         assert_eq!(retrieves, 20_000, "one Retrieve per reference");
-        assert_eq!(m.retrieves_by_source.len(), 3); // L1, L2, disk
+        assert_eq!(stats.hits_by_level.len(), 2); // L1, L2; disk is `misses`
+        assert_eq!(stats.demotions_by_boundary.len(), 1);
     }
 
     #[test]

@@ -464,7 +464,22 @@ impl UniLruStack {
 
     /// Removes uncached history entries from the stack bottom: everything
     /// below the last yardstick, plus anything beyond the stack limit.
+    ///
+    /// With no stack limit and a cached entry in the tail slot there is
+    /// nothing to remove, and the scan would stop at that slot having
+    /// visited none, so it is skipped.
+    #[inline]
     fn trim(&mut self) {
+        // Tags below HOLE are cache levels.
+        if self.stack_limit.is_none() && self.levels.get(self.tail).is_some_and(|&l| l < HOLE) {
+            return;
+        }
+        self.trim_scan();
+    }
+
+    /// [`Self::trim`]'s scan, from the tail up.
+    #[inline(never)]
+    fn trim_scan(&mut self) {
         let last = self.num_levels() - 1;
         let start = self.tail;
         let mut slot = start;

