@@ -20,11 +20,10 @@
 //! The buffers are plain data: reading stale contents is prevented by
 //! [`AccessScratch::reset`], which every `access_into` entry point calls
 //! first, so a "dirty" scratch handed from a previous access (of any
-//! protocol) is always equivalent to a fresh one. The ULC engines hand
-//! their counters to the caller's `AccessOutcome` by swapping the two
-//! `demotions` vectors, so the outcome's old buffer, whatever another
-//! engine left in it, is the next access's scratch. The golden `SimStats`
-//! grid (`tests/golden_stats.rs`) pins that bit-exactly for every engine
+//! protocol) is always equivalent to a fresh one. That includes the
+//! counters the ULC engines swap in from the caller's `AccessOutcome`,
+//! whatever engine last wrote them. The golden `SimStats` grid
+//! (`tests/golden_stats.rs`) pins that bit-exactly for every engine
 //! through a dirty reused outcome, and `tests/scratch_vs_reference.rs`
 //! for the raw stack through a dirty reused scratch and for one outcome
 //! shared by several engines.
@@ -90,17 +89,14 @@ impl AccessScratch {
     /// `access_into` entry point, so dirty scratch is always equivalent
     /// to fresh scratch. Keeps capacity — allocation-free once the
     /// buffers have reached their high-water mark.
-    ///
-    /// Counters of the right length are zeroed only where nonzero: an
-    /// access rarely demotes, so this usually stores nothing, where a
-    /// refill would call `memset` on every access.
     #[inline]
     pub fn reset(&mut self, boundaries: usize) {
         if self.demotions.len() == boundaries {
-            for d in &mut self.demotions {
-                if *d != 0 {
-                    *d = 0;
-                }
+            // Stores only where a counter is nonzero: an access rarely
+            // demotes, so this usually stores nothing, where a refill
+            // would call `memset` on every access.
+            for d in self.demotions.iter_mut().filter(|d| **d != 0) {
+                *d = 0;
             }
         } else {
             self.demotions.clear();

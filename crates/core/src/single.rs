@@ -5,14 +5,10 @@
 //! ablation counts its hits (the small stack that briefly holds blocks
 //! passing through the client on their way to the application when their
 //! caching level is below `L₁`), and hands each access's demotion
-//! counters to the caller's outcome by swapping the two buffers, so a
-//! reference that demotes nothing copies and zeroes nothing.
-//!
-//! The protocol messages that §3.2 defines are the outcome's counts, as
-//! [`ulc_hierarchy::SimStats`] records them: one `Retrieve(b, i, j)` per
-//! reference, from the level that hit (`hits_by_level`) or from disk
-//! (`misses`), and one `Demote(b, i, i+1)` per transfer
-//! (`demotions_by_boundary`).
+//! counters to the caller's outcome by swapping buffers. The protocol
+//! messages §3.2 defines are what [`ulc_hierarchy::SimStats`] counts: one
+//! `Retrieve` per reference, from the level that hit or from disk (a
+//! miss), and one `Demote` per transfer.
 
 use crate::scratch::AccessScratch;
 use crate::stack::{Placement, UniLruStack};
@@ -158,20 +154,18 @@ impl MultiLevelPolicy for UlcSingle {
             "single-client protocol serves exactly one client"
         );
         self.obs.begin_access();
-        if let Some(temp_lru) = self.temp_lru.as_mut().filter(|t| t.contains(&block)) {
-            // Ablation mode: the block is still in client memory.
-            temp_lru.touch(block);
-            // The stack still observes the reference for its history.
-            let res = self.stack.access_into(block, &mut self.scratch);
-            self.obs.on_hit(0, block.raw());
-            self.record_stack_effects(block, res.placed);
-            self.note_temp_lru(block, res.placed);
-            out.hit_level = Some(0);
-            std::mem::swap(&mut out.demotions, &mut self.scratch.demotions);
-            return;
-        }
+        // Ablation mode: a block still in the tempLRU is in client memory;
+        // the stack still observes the reference for its history.
+        let temp_hit = match self.temp_lru.as_mut() {
+            Some(temp_lru) if temp_lru.contains(&block) => {
+                temp_lru.touch(block);
+                true
+            }
+            _ => false,
+        };
         let res = self.stack.access_into(block, &mut self.scratch);
-        match res.found.level() {
+        let hit_level = if temp_hit { Some(0) } else { res.found.level() };
+        match hit_level {
             Some(level) => self.obs.on_hit(level, block.raw()),
             None => self.obs.on_miss(block.raw()),
         }
@@ -179,7 +173,7 @@ impl MultiLevelPolicy for UlcSingle {
         if self.temp_lru.is_some() {
             self.note_temp_lru(block, res.placed);
         }
-        out.hit_level = res.found.level();
+        out.hit_level = hit_level;
         // The counters change hands: the outcome's old buffer becomes the
         // scratch the next access resets.
         std::mem::swap(&mut out.demotions, &mut self.scratch.demotions);

@@ -465,12 +465,10 @@ impl UniLruStack {
     /// Removes uncached history entries from the stack bottom: everything
     /// below the last yardstick, plus anything beyond the stack limit.
     ///
-    /// With no stack limit and a cached entry in the tail slot there is
-    /// nothing to remove, and the scan would stop at that slot having
-    /// visited none, so it is skipped.
+    /// With no stack limit and a cached entry (a tag below `HOLE`) in the
+    /// tail slot, the scan would stop at that slot having visited none.
     #[inline]
     fn trim(&mut self) {
-        // Tags below HOLE are cache levels.
         if self.stack_limit.is_none() && self.levels.get(self.tail).is_some_and(|&l| l < HOLE) {
             return;
         }

@@ -54,13 +54,11 @@ impl AccessOutcome {
 pub trait MultiLevelPolicy {
     /// Handles one reference by `client` to `block`, writing the result
     /// into a caller-pooled `out` instead of returning a fresh
-    /// allocation. Every field of `out` is overwritten and its previous
-    /// contents are ignored, so one outcome can be reused across every
+    /// allocation. Every field of `out` is overwritten (its previous
+    /// contents are ignored), so one outcome can be reused across every
     /// access of a simulation, and across engines — the zero-allocation
     /// steady-state driver [`crate::simulate`] relies on this. An engine
-    /// may overwrite `demotions` by swapping in a buffer of its own, as
-    /// ULC does, so `out` may end up holding a different vector; buffers
-    /// only change hands, so a settled driver still never allocates.
+    /// may swap a `demotions` buffer of its own into `out`, as ULC does.
     fn access_into(&mut self, client: ClientId, block: BlockId, out: &mut AccessOutcome);
 
     /// Handles one reference by `client` to `block` and returns its

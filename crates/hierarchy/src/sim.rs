@@ -34,9 +34,8 @@ pub fn simulate<P: MultiLevelPolicy + ?Sized>(
 ) -> SimStats {
     assert!(warmup <= trace.len(), "warm-up longer than the trace");
     let mut stats = SimStats::new(policy.num_levels());
-    // One pooled outcome for the whole run: `access_into` overwrites it
-    // per reference, and its demotion buffer is reused or swapped for an
-    // engine's own, keeping the measured loop allocation-free for engines
+    // One pooled outcome for the whole run, overwritten per reference; its
+    // demotion buffer is reused or swapped, never reallocated, for engines
     // with pooled paths (DESIGN.md §5f).
     let mut outcome = AccessOutcome::miss(policy.num_levels().saturating_sub(1));
     // Batched pipeline: decode PREFETCH_DISTANCE records ahead and hint
